@@ -183,6 +183,26 @@ checkpoint_battery() {
     FOUNDATION_THREADS=1 cargo test -q --offline --test checkpoint
 }
 
+flake_hunt() {
+    # the serve and observability suites must be green at every
+    # --test-threads width and on every repeat: they share a process
+    # with other servers and tracers, so leaked global state shows up
+    # as a red run here. Any red run fails the step.
+    local threads i t
+    for threads in 1 2 8; do
+        cargo test -q --offline --test serve_protocol --test serve_determinism \
+            --test observability -- --test-threads="$threads" >/dev/null \
+            || { echo "error: serve/observability tests failed at --test-threads=$threads" >&2; exit 1; }
+    done
+    for t in serve_protocol observability; do
+        for i in $(seq 1 20); do
+            cargo test -q --offline --test "$t" >/dev/null \
+                || { echo "error: $t failed on repeat $i of 20" >&2; exit 1; }
+        done
+        echo "   $t: 20 of 20 green"
+    done
+}
+
 serve_smoke() {
     # end-to-end daemon smoke: serve over a unix socket, a plan-miss then
     # a cache-hit of the same job must answer one digest, the served
@@ -192,7 +212,7 @@ serve_smoke() {
     local sock=target/ci-serve.sock
     local cli="cargo run --release --offline -p stencil-cli --bin lorastencil-cli --"
     rm -f "$sock"
-    $cli serve --socket "$sock" --batch 4 >target/ci-serve.log 2>&1 &
+    $cli serve --socket "$sock" >target/ci-serve.log 2>&1 &
     local pid=$!
     local i
     for i in $(seq 1 100); do [ -S "$sock" ] && break; sleep 0.1; done
@@ -309,6 +329,7 @@ step "tune smoke (bounded autotune + invariant-counter check)" tune_smoke
 step "backend smoke (4 backends x 3 dims, verify + in-family bit-identity)" backend_smoke
 step "profile smoke (stencil-cli profile + trace validation)" profile_smoke
 step "crash-resume smoke (run, tear newest snapshot, resume)" crash_resume_smoke
+step "flake hunt (serve + observability at 1/2/8 test threads, 20 repeats)" flake_hunt
 step "serve smoke (daemon over unix socket: parity, errors, shutdown)" serve_smoke
 step "serve loadgen (hit vs cold-plan >=5x gate, writes BENCH_pr8.json)" loadgen_bench
 step "emit smoke (3 targets x 4 backends x 3 dims; CUDA golden + alias diff)" emit_smoke

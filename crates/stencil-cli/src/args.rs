@@ -37,9 +37,6 @@ const VALUED: &[&str] = &[
     "reps",
     "socket",
     "tcp",
-    "batch",
-    "batch-wait-us",
-    "max-queue",
     "plan-cache",
     "max-conns",
     "tune-budget",
@@ -192,6 +189,9 @@ mod tests {
         let e = parse(&sv(&["run", "--zzzzzzzz"])).unwrap_err();
         assert!(e.contains("unknown option --zzzzzzzz"), "{e}");
         assert!(!e.contains("did you mean"), "{e}");
+        // `--batch` is no serve option: it fails loudly, never a silent no-op
+        let e = parse(&sv(&["serve", "--batch", "4"])).unwrap_err();
+        assert!(e.contains("unknown option --batch"), "{e}");
     }
 
     #[test]

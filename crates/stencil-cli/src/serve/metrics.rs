@@ -1,21 +1,24 @@
-//! Serve-side observability: process-wide counters/histograms from
-//! [`foundation::obs`], plus per-tenant accounting.
+//! Serve-side observability: one server instance's job counts and
+//! latency histograms, all-tenants and per tenant.
 //!
-//! Handles to the named metrics are resolved once at server start (the
-//! registry lookup scans a `Mutex<Vec>`; caching the `&'static`
-//! references keeps the request path down to relaxed atomic adds).
-//! Tenant stats live behind a `Mutex<HashMap>` — lookups by `&str`
-//! allocate nothing once a tenant exists, so the steady-state guarantee
-//! covers multi-tenant traffic too.
+//! Every counter and histogram is a field of [`ServerMetrics`], which
+//! the owning [`ServerCore`](super::ServerCore) holds by value — two
+//! servers in one process never share stats, and a fresh server reports
+//! zeros. Plan-cache outcomes are counted by the
+//! [`PlanCache`](super::cache::PlanCache) itself. Tenant stats live
+//! behind a `Mutex<HashMap>` — lookups by `&str` allocate nothing once a
+//! tenant exists, so the steady-state guarantee covers multi-tenant
+//! traffic too.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use foundation::json::{Json, ToJson};
-use foundation::obs::{counter, histogram, Counter, Histogram};
+use foundation::obs::Histogram;
 
-/// Per-tenant accounting: request counts and a latency histogram.
+/// Job accounting for one population (all tenants, or one tenant):
+/// request counts and an end-to-end latency histogram.
 pub struct TenantStats {
     pub jobs_ok: AtomicU64,
     pub jobs_err: AtomicU64,
@@ -30,37 +33,31 @@ impl TenantStats {
             latency: Histogram::new(),
         }
     }
+
+    fn record(&self, ok: bool, latency_ns: u64) {
+        if ok {
+            self.jobs_ok.fetch_add(1, Ordering::Relaxed);
+        } else {
+            self.jobs_err.fetch_add(1, Ordering::Relaxed);
+        }
+        self.latency.record_ns(latency_ns);
+    }
 }
 
-/// All the daemon's metrics handles, resolved once.
+/// All of one server's metrics.
 pub struct ServerMetrics {
-    /// Jobs answered successfully / with a typed error.
-    pub jobs_ok: &'static Counter,
-    pub jobs_err: &'static Counter,
-    /// Plan-cache outcomes as seen by the request path.
-    pub cache_hits: &'static Counter,
-    pub cache_misses: &'static Counter,
-    /// Batching: dispatches issued, jobs that rode in them, and jobs
-    /// refused at admission (queue full).
-    pub batches: &'static Counter,
-    pub batched_jobs: &'static Counter,
-    pub rejected: &'static Counter,
-    /// End-to-end job latency (parse to response-ready).
-    pub latency: &'static Histogram,
+    /// Every job answered, whatever its tenant (parse to response-ready).
+    pub all: TenantStats,
+    /// Connections refused at the `max_conns` limit.
+    pub rejected: AtomicU64,
     tenants: Mutex<HashMap<String, Arc<TenantStats>>>,
 }
 
 impl ServerMetrics {
     pub fn new() -> Self {
         ServerMetrics {
-            jobs_ok: counter("serve_jobs_ok"),
-            jobs_err: counter("serve_jobs_err"),
-            cache_hits: counter("serve_cache_hits"),
-            cache_misses: counter("serve_cache_misses"),
-            batches: counter("serve_batches"),
-            batched_jobs: counter("serve_batched_jobs"),
-            rejected: counter("serve_rejected"),
-            latency: histogram("serve_latency"),
+            all: TenantStats::new(),
+            rejected: AtomicU64::new(0),
             tenants: Mutex::new(HashMap::new()),
         }
     }
@@ -77,18 +74,10 @@ impl ServerMetrics {
         t
     }
 
-    /// Record one finished job for global and tenant metrics.
+    /// Record one finished job for the all-tenants and tenant metrics.
     pub fn record(&self, tenant: &str, ok: bool, latency_ns: u64) {
-        let t = self.tenant(tenant);
-        if ok {
-            self.jobs_ok.add(1);
-            t.jobs_ok.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.jobs_err.add(1);
-            t.jobs_err.fetch_add(1, Ordering::Relaxed);
-        }
-        self.latency.record_ns(latency_ns);
-        t.latency.record_ns(latency_ns);
+        self.all.record(ok, latency_ns);
+        self.tenant(tenant).record(ok, latency_ns);
     }
 
     /// Tenant table for the `stats` op (sorted by name for stable output).
@@ -130,17 +119,22 @@ mod tests {
     #[test]
     fn records_split_by_tenant_and_outcome() {
         let m = ServerMetrics::new();
-        // obs counters are process-global; measure deltas
-        let ok0 = m.jobs_ok.get();
         m.record("alice", true, 1_000);
         m.record("alice", true, 3_000);
         m.record("bob", false, 9_000);
-        assert_eq!(m.jobs_ok.get() - ok0, 2);
+        assert_eq!(m.all.jobs_ok.load(Ordering::Relaxed), 2);
+        assert_eq!(m.all.jobs_err.load(Ordering::Relaxed), 1);
+        assert_eq!(m.all.latency.count(), 3);
+        assert_eq!(m.all.latency.max_ns(), 9_000);
         let alice = m.tenant("alice");
         assert_eq!(alice.jobs_ok.load(Ordering::Relaxed), 2);
         assert_eq!(alice.jobs_err.load(Ordering::Relaxed), 0);
         assert!(alice.latency.quantile_ns(0.5) >= 1_000);
         let t = m.tenants_json();
         assert!(t.get("bob").and_then(|b| b.get("jobs_err")).is_some());
+        // a second instance starts from zero
+        let fresh = ServerMetrics::new();
+        assert_eq!(fresh.all.jobs_ok.load(Ordering::Relaxed), 0);
+        assert_eq!(fresh.all.latency.count(), 0);
     }
 }

@@ -320,9 +320,10 @@ fn serve_backend_flag_sets_the_default_config() {
 }
 
 /// Degenerate server configurations must stay inert, not crash: a
-/// zero-capacity plan cache disables caching, `--batch 0` executes
-/// inline like `--batch 1`, and quantiles over an empty latency
-/// histogram report zero rather than dividing by the empty total.
+/// zero-capacity plan cache disables caching, and quantiles over an
+/// empty latency histogram report zero rather than dividing by the
+/// empty total. Stats belong to their server: a job on one server
+/// leaves a second server in the same process at zero.
 #[test]
 fn degenerate_server_configs_answer_normally() {
     // stats on a fresh server: empty histogram → all-zero latency block
@@ -347,10 +348,24 @@ fn degenerate_server_configs_answer_normally() {
     assert!(matches!(core.handle_line(&mut conn, r#"{"op":"stats"}"#), Action::Respond));
     assert!(conn.resp.contains("\"ok\":true"), "{}", conn.resp);
 
-    // batch 0: below the batching threshold, so the inline path runs
-    // the job on the connection thread — no dispatcher to hang on
-    let core = ServerCore::new(ServeConfig { batch_max: 0, ..ServeConfig::default() });
+    // two servers in one process: a job on A moves only A's stats
+    let a = ServerCore::new(ServeConfig::default());
     let mut conn = ConnState::new();
-    assert!(matches!(core.handle_line(&mut conn, run), Action::Respond));
-    assert!(conn.resp.contains("\"ok\":true"), "batch-0 run failed: {}", conn.resp);
+    assert!(matches!(a.handle_line(&mut conn, run), Action::Respond));
+    assert!(conn.resp.contains("\"ok\":true"), "run on server A failed: {}", conn.resp);
+    let b = ServerCore::new(ServeConfig::default());
+    let jobs_of = |core: &ServerCore| {
+        let mut conn = ConnState::new();
+        assert!(matches!(core.handle_line(&mut conn, r#"{"op":"stats"}"#), Action::Respond));
+        Json::parse(&conn.resp)
+            .unwrap()
+            .get("jobs")
+            .expect("stats must report a jobs block")
+            .clone()
+    };
+    let jobs = jobs_of(&b);
+    for q in ["ok", "p50_ns", "p99_ns", "max_ns"] {
+        assert_eq!(jobs.get(q).and_then(Json::as_f64), Some(0.0), "server B {q}: {jobs:?}");
+    }
+    assert_eq!(jobs_of(&a).get("ok").and_then(Json::as_f64), Some(1.0), "server A ok");
 }
