@@ -273,8 +273,8 @@ emit_smoke() {
     # multi-target codegen smoke: every emit target across one kernel
     # per dimensionality and all four device backends must render
     # non-empty, and the CUDA output is diffed byte-for-byte against
-    # the checked-in goldens (tests/snapshots/cuda/) plus the deprecated
-    # `emit-cuda` alias — any drift fails the build. Regenerate goldens
+    # the checked-in goldens (tests/snapshots/cuda/) — any drift fails
+    # the build. Regenerate goldens
     # deliberately with UPDATE_SNAPSHOTS=1 (see tests/codegen_snapshots.rs).
     local cli="cargo run --release --offline -p stencil-cli --bin lorastencil-cli --"
     local kernel backend target out=target/ci-emit.out
@@ -293,11 +293,7 @@ emit_smoke() {
         $cli emit --kernel "$kernel" --target cuda >"$out"
         diff -u "$golden" "$out" \
             || { echo "error: $kernel CUDA listing drifted from $golden" >&2; exit 1; }
-        # the deprecated alias must emit the same bytes
-        $cli emit-cuda --kernel "$kernel" 2>/dev/null \
-            | diff - "$out" \
-            || { echo "error: emit-cuda alias diverged from emit --target cuda" >&2; exit 1; }
-        echo "   $kernel: 3 targets x 4 backends emitted; CUDA matches golden + alias"
+        echo "   $kernel: 3 targets x 4 backends emitted; CUDA matches golden"
     done
     # a near-miss --target spelling must fail with a suggestion
     if $cli emit --kernel Heat-1D --target wsgl >/dev/null 2>"$out"; then
@@ -306,6 +302,15 @@ emit_smoke() {
     grep -q "did you mean wgsl?" "$out" \
         || { echo "error: no 'did you mean wgsl?' suggestion for --target wsgl" >&2; exit 1; }
     rm -f "$out"
+}
+
+perfbench_tests() {
+    # perfbench is a workspace of its own (so the benchmark can build it
+    # from any checkout); build and test it against the current crates so
+    # a public-API break fails here, not when the benchmark next runs.
+    # Its exact_counts test also re-checks zero allocs and zero spawns
+    # per step and per serve hit at FOUNDATION_THREADS 1 and 2.
+    cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
 }
 
 dep_audit() {
@@ -332,8 +337,9 @@ step "crash-resume smoke (run, tear newest snapshot, resume)" crash_resume_smoke
 step "flake hunt (serve + observability at 1/2/8 test threads, 20 repeats)" flake_hunt
 step "serve smoke (daemon over unix socket: parity, errors, shutdown)" serve_smoke
 step "serve loadgen (hit vs cold-plan >=5x gate, writes BENCH_pr8.json)" loadgen_bench
-step "emit smoke (3 targets x 4 backends x 3 dims; CUDA golden + alias diff)" emit_smoke
+step "emit smoke (3 targets x 4 backends x 3 dims; CUDA golden diff)" emit_smoke
 step "checkpoint battery (FOUNDATION_THREADS=1)" checkpoint_battery
+step "perfbench build + tests (benchmark crate against the workspace)" perfbench_tests
 step "dependency audit (workspace members only)" dep_audit
 
 echo "CI green"

@@ -14,8 +14,7 @@ use crate::report::{format_table, geomean};
 use crate::runner::evaluate;
 use crate::workloads;
 use lorastencil::rdg::RdgGeometry;
-use lorastencil::schedule::apply_once;
-use lorastencil::{autotune, decompose, fusion, ExecConfig, LoRaStencil, Plan};
+use lorastencil::{autotune, decompose, fusion, ExecConfig, LoRaStencil, Plan, Workspace};
 use stencil_core::{kernels, Grid2D, StencilKernel};
 use tcu_sim::{CostModel, GlobalArray, PerfCounters};
 
@@ -23,8 +22,8 @@ use tcu_sim::{CostModel, GlobalArray, PerfCounters};
 fn run_plan(plan: &Plan, n: usize) -> PerfCounters {
     let grid = Grid2D::from_fn(n, n, |r, c| ((r * 31 + c * 17) % 23) as f64 * 0.2);
     let input = GlobalArray::from_vec(n, n, grid.as_slice().to_vec());
-    let (_, counters) = apply_once(&input, plan);
-    counters
+    let mut out = GlobalArray::new(n, n);
+    Workspace::new(plan, &[n, n]).apply(&input, &mut out)
 }
 
 /// Study 1: decomposition-strategy ablation on the fused 2-D kernels.

@@ -1,6 +1,7 @@
-//! Checkpointed execution: the generic [`Stepper`](crate::schedule::Stepper)
-//! loop with a crash-consistent snapshot hook between applications, plus
-//! deterministic resume.
+//! Checkpointed execution: the [`ExecSession`] time loop with a
+//! crash-consistent snapshot hook between applications, plus
+//! deterministic resume — and the grid ↔ plane conversion every
+//! plane-level entry point shares.
 //!
 //! ## Bit-identical resume
 //!
@@ -31,7 +32,7 @@
 //! [`ScheduleParams`]: crate::schedule::ScheduleParams
 
 use crate::plan::ExecConfig;
-use crate::schedule;
+use crate::schedule::ExecSession;
 use stencil_core::checkpoint::{CheckpointStore, Plane, Snapshot, FLAG_SEEDED_INPUT};
 use stencil_core::{Grid1D, Grid2D, Grid3D, GridData, StencilKernel};
 use tcu_sim::{BlockResources, GlobalArray, PerfCounters};
@@ -123,7 +124,7 @@ pub fn grid_to_planes(grid: &GridData) -> Vec<GlobalArray> {
     }
 }
 
-/// Stepper planes back into a grid of the given extents.
+/// Planes back into a grid of the given extents.
 pub fn planes_to_grid(planes: &[GlobalArray], extents: &[usize]) -> GridData {
     match *extents {
         [_n] => GridData::D1(Grid1D::from_vec(planes[0].as_slice().to_vec())),
@@ -261,50 +262,32 @@ fn run_loop(
         planes: snapshot_planes(planes),
     };
 
+    // one session over the remaining steps runs them in chunks that end
+    // on the application boundaries where a snapshot is due (and on the
+    // last one), so the application sequence is that of a plain run
     let remaining = (total - start_step) as usize;
-    let plan = crate::plan::Plan::new_tuned(kernel, config, extents);
-    let block = plan.block_resources();
-    let full = remaining / plan.fusion;
-    let fusion = plan.fusion as u64;
-    let rem = remaining % plan.fusion;
-
-    let mut step = start_step;
-    let mut written = 0usize;
-    let mut cur = planes;
-    if full > 0 {
-        let mut stepper = schedule::Stepper::new(plan, cur);
-        for _ in 0..full {
-            counters.merge(&stepper.step());
-            let crossed = (step + fusion) / policy.every > step / policy.every;
-            step += fusion;
-            if crossed {
-                policy.store.save(&snapshot(step, &stepper.capture_planes(), &counters))?;
-                written += 1;
-            }
+    let mut session = ExecSession::over(kernel, config, None, planes, Some(remaining));
+    let due = |from: usize, to: usize| {
+        (start_step + to as u64) / policy.every > (start_step + from as u64) / policy.every
+    };
+    let (mut ran, mut prev_end, mut written) = (0usize, 0usize, 0usize);
+    for end in session.application_ends(remaining) {
+        let snap_due = due(prev_end, end);
+        prev_end = end;
+        if snap_due || end == remaining {
+            counters.merge(&session.run(end - ran));
+            ran = end;
         }
-        cur = stepper.into_planes();
-    }
-    if rem > 0 {
-        let base = crate::plan::Plan::new_tuned(
-            kernel,
-            ExecConfig { allow_fusion: false, ..config },
-            extents,
-        );
-        let mut stepper = schedule::Stepper::new(base, cur);
-        for _ in 0..rem {
-            counters.merge(&stepper.step());
-            step += 1;
-            if step % policy.every == 0 {
-                policy.store.save(&snapshot(step, &stepper.capture_planes(), &counters))?;
-                written += 1;
-            }
+        if snap_due {
+            let step = start_step + end as u64;
+            policy.store.save(&snapshot(step, session.planes(), &counters))?;
+            written += 1;
         }
-        cur = stepper.into_planes();
     }
     Ok(CkptOutcome {
-        output: planes_to_grid(&cur, extents),
+        output: planes_to_grid(session.planes(), extents),
         counters,
-        block,
+        block: session.block(),
         snapshots_written: written,
     })
 }
@@ -418,15 +401,41 @@ mod tests {
 
     #[test]
     fn checkpointed_run_matches_plain_run_bit_for_bit() {
+        // Box-2D9P fuses 3 steps per application: 7 and 13 steps end in
+        // an unfused remainder phase, 9 does not. Snapshots land on the
+        // first application boundary at or past each multiple of `every`.
         let k = kernels::box_2d9p();
-        let st = store("match-plain", 8);
-        let policy = CkptPolicy { store: &st, every: 2, seed: 7, method: "LoRAStencil" };
-        let out = run(&k, ExecConfig::full(), &grid_2d(), 9, &policy).unwrap();
-        let (planes, counters, _) =
-            schedule::run(&k, ExecConfig::full(), grid_to_planes(&grid_2d()), 9);
-        assert_eq!(out.output, planes_to_grid(&planes, &[24, 24]));
-        assert_eq!(out.counters, counters, "{:?}", out.counters.diff(&counters));
-        assert!(out.snapshots_written > 0);
+        let cases: [(u64, u64, &[u64]); 6] = [
+            (7, 2, &[3, 6]),
+            (7, 5, &[6]),
+            (9, 2, &[3, 6, 9]),
+            (9, 5, &[6]),
+            (13, 2, &[3, 6, 9, 12]),
+            (13, 5, &[6, 12]),
+        ];
+        for (steps, every, want_snaps) in cases {
+            let case = format!("{steps} steps, every {every}");
+            let st = store(&format!("match-plain-{steps}-{every}"), 16);
+            let policy = CkptPolicy { store: &st, every, seed: 7, method: "LoRAStencil" };
+            let out = run(&k, ExecConfig::full(), &grid_2d(), steps, &policy).unwrap();
+            let (planes, counters, _) = crate::schedule::run(
+                &k,
+                ExecConfig::full(),
+                grid_to_planes(&grid_2d()),
+                steps as usize,
+            );
+            let got = grid_to_planes(&out.output);
+            let same = got[0]
+                .as_slice()
+                .iter()
+                .zip(planes[0].as_slice())
+                .all(|(a, b)| a.to_bits() == b.to_bits());
+            assert!(same, "{case}: values differ from the plain run");
+            assert_eq!(out.counters, counters, "{case}: {:?}", out.counters.diff(&counters));
+            let snaps: Vec<u64> = st.list().unwrap().into_iter().map(|(s, _)| s).collect();
+            assert_eq!(snaps, want_snaps, "{case}: snapshot steps");
+            assert_eq!(out.snapshots_written, want_snaps.len(), "{case}");
+        }
     }
 
     #[test]
@@ -507,17 +516,5 @@ mod tests {
         let err = resume(&k, ExecConfig::full(), &snap, &policy).unwrap_err();
         assert!(matches!(err, CkptRunError::StepBeyondTotal { step: 6, total: 6 }));
         assert!(err.to_string().contains("--iters"), "suggests the fix: {err}");
-    }
-
-    #[test]
-    fn snapshots_land_on_application_boundaries() {
-        // fusion 3 with every=2: boundaries at 3, 6, 9 → snapshots at
-        // 3 (crossed 2), 6 (crossed 4 and 6) and 9 (crossed 8)
-        let k = kernels::box_2d9p(); // fuses 3×
-        let st = store("boundaries", 16);
-        let policy = CkptPolicy { store: &st, every: 2, seed: 7, method: "LoRAStencil" };
-        run(&k, ExecConfig::full(), &grid_2d(), 9, &policy).unwrap();
-        let steps: Vec<u64> = st.list().unwrap().into_iter().map(|(s, _)| s).collect();
-        assert_eq!(steps, vec![3, 6, 9]);
     }
 }

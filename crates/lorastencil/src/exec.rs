@@ -1,24 +1,17 @@
-//! Per-dimension LoRAStencil lowering rules + public executor shims, and
-//! the unified dispatcher. The shared interpreter/stepping machinery
-//! these shims delegate to lives in [`crate::schedule`].
+//! The LoRAStencil executor: the one [`StencilExecutor`] front door for
+//! 1-D, 2-D and 3-D problems. Everything dimension-specific lives in the
+//! lowering rules of [`crate::schedule`]; this type only converts the
+//! grid to planes and back around [`schedule::run`].
 
-pub mod one_d;
-pub(crate) mod scratch;
-pub mod three_d;
-pub mod two_d;
-
-pub use one_d::LoRaStencil1D;
-pub use three_d::LoRaStencil3D;
-pub use two_d::LoRaStencil2D;
-
+use crate::checkpoint::{grid_extents, grid_to_planes, planes_to_grid};
 use crate::plan::ExecConfig;
+use crate::schedule;
 use stencil_core::{ExecError, ExecOutcome, Problem, StencilExecutor};
 
-/// The unified LoRAStencil executor: dispatches on the problem's
-/// dimensionality.
+/// The LoRAStencil executor (any dimensionality).
 #[derive(Debug, Clone, Default)]
 pub struct LoRaStencil {
-    /// Feature toggles, forwarded to the per-dimension executor.
+    /// Feature toggles (ablation support).
     pub config: ExecConfig,
 }
 
@@ -40,12 +33,20 @@ impl StencilExecutor for LoRaStencil {
     }
 
     fn execute(&self, problem: &Problem) -> Result<ExecOutcome, ExecError> {
-        match problem.kernel.dims() {
-            1 => LoRaStencil1D::with_config(self.config).execute(problem),
-            2 => LoRaStencil2D::with_config(self.config).execute(problem),
-            3 => LoRaStencil3D::with_config(self.config).execute(problem),
-            d => Err(ExecError::Unsupported(format!("{d}-D kernels"))),
+        let (kernel_dims, grid_dims) = (problem.kernel.dims(), problem.input.dims());
+        if kernel_dims != grid_dims {
+            return Err(ExecError::Invalid(format!(
+                "a {kernel_dims}-D kernel cannot run on a {grid_dims}-D grid"
+            )));
         }
+        let (planes, counters, block) = schedule::run(
+            &problem.kernel,
+            self.config,
+            grid_to_planes(&problem.input),
+            problem.iterations,
+        );
+        let output = planes_to_grid(&planes, &grid_extents(&problem.input));
+        Ok(ExecOutcome { output, counters, block })
     }
 }
 

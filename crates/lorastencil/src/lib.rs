@@ -21,9 +21,11 @@
 //! Supporting modules: [`fusion`] (temporal kernel fusion, §IV-A),
 //! [`plan`] (the dimension-generic fusion/decomposition/geometry plan and
 //! ablation toggles), [`schedule`] (the execution IR one plan lowers to,
-//! its backend seam, and the generic interpreter/stepper), [`exec`] (the
-//! per-dimension lowering rules + public executor shims, §IV-C /
-//! Algorithm 2) and [`analysis`] (the closed-form Eq. 12–16 models).
+//! the per-dimension lowering rules of §IV-C / Algorithm 2, its backend
+//! seam, the generic interpreter/stepper and the session time loop),
+//! [`exec`] (the one public executor, [`LoRaStencil`], for every
+//! dimension), [`checkpoint`] (snapshotted runs and the grid ↔ plane
+//! conversion) and [`analysis`] (the closed-form Eq. 12–16 models).
 //!
 //! ## Quickstart
 //!
@@ -58,7 +60,7 @@ pub mod schedule;
 pub mod tuning;
 
 pub use decompose::{decompose, Decomposition, RankOneTerm, Strategy};
-pub use exec::{LoRaStencil, LoRaStencil1D, LoRaStencil2D, LoRaStencil3D};
+pub use exec::LoRaStencil;
 pub use plan::{DeviceBackend, ExecConfig, Plan, PlanKind, PlaneOp};
 pub use rdg::{RdgGeometry, XFragments, TILE_M};
 pub use schedule::{ExecSession, Schedule, ScheduleParams, Staging, Stepper, Workspace};

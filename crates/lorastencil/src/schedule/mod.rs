@@ -5,8 +5,10 @@
 //! [`Plan`] of any dimensionality lowers to one [`Schedule`] — a flat
 //! sequence of [`Op`]s describing what one warp does per output tile —
 //! and a single interpreter ([`crate::schedule::Stepper`]) executes that
-//! sequence against a [`Backend`]. The per-dimension executors in
-//! [`crate::exec`] are reduced to lowering rules plus public-API shims.
+//! sequence against a [`Backend`]. What differs per dimension is only the
+//! lowering rule that [`Schedule::lower`] picks by [`PlanKind`]; the one
+//! public executor, [`crate::LoRaStencil`], runs every dimension through
+//! [`run`].
 //!
 //! Lowering is where every [`ExecConfig`] toggle is resolved:
 //!
@@ -29,18 +31,19 @@ mod backend;
 #[cfg(test)]
 mod exec_tests;
 mod params;
+mod scratch;
 mod session;
 mod stepper;
 
 pub use backend::{Backend, CudaCore, SimdCore, SparseTcu, TcuF64};
 pub use params::{ScheduleParams, Staging};
 pub use session::ExecSession;
-pub use stepper::{apply_once, apply_once_planes, run, run_tuned, Stepper, Workspace};
+pub use stepper::{run, run_tuned, Stepper, Workspace};
 
-use crate::decompose::RankOneTerm;
-use crate::plan::{Plan, PlanKind};
+use crate::decompose::{Decomposition, RankOneTerm};
+use crate::plan::{Plan, PlanKind, PlaneOp};
 use crate::rdg::{RdgGeometry, TermFrags};
-use tcu_sim::CopyMode;
+use tcu_sim::{CopyMode, FragB, MMA_K, MMA_N};
 
 /// One step of the per-tile warp program.
 ///
@@ -222,14 +225,14 @@ pub struct Schedule {
     /// the planes' decompositions; [`Op::MmaChain`] indexes into this).
     pub terms: Vec<LoweredTerm>,
     /// The 1-D banded `V` fragments (empty unless `dims == 1`).
-    pub v1d: Vec<tcu_sim::FragB>,
+    pub v1d: Vec<FragB>,
 }
 
 impl Schedule {
-    /// Lower a plan to its execution schedule. The per-dimension
-    /// lowering rules live next to their public shims in
-    /// [`crate::exec`]; fragment prebuilding happens here, once, under
-    /// the `frag_build` span.
+    /// Lower a plan to its execution schedule: resolve the toggles, emit
+    /// the op sequence with the plan kind's lowering rule (`lower_1d`,
+    /// `lower_2d` or `lower_3d`), then prebuild every weight fragment,
+    /// once, under the `frag_build` span.
     pub fn lower(plan: &Plan) -> Schedule {
         let use_tcu = plan.config.use_tcu();
         let dims = plan.dims();
@@ -276,9 +279,9 @@ impl Schedule {
             v1d: Vec::new(),
         };
         match &plan.kind {
-            PlanKind::D1 { seg_len } => crate::exec::one_d::lower(*seg_len, &mut sched),
-            PlanKind::D2 { decomp } => crate::exec::two_d::lower(decomp, &mut sched),
-            PlanKind::D3 { plane_ops } => crate::exec::three_d::lower(plane_ops, &mut sched),
+            PlanKind::D1 { seg_len } => sched.lower_1d(*seg_len),
+            PlanKind::D2 { decomp } => sched.lower_2d(decomp),
+            PlanKind::D3 { plane_ops } => sched.lower_3d(plane_ops),
         }
         {
             // all weight fragments prebuild here (they depend only on the
@@ -296,20 +299,110 @@ impl Schedule {
                 }
             }
             if sched.dims == 1 {
-                sched.v1d =
-                    crate::exec::one_d::build_v_frags(plan.exec_kernel.weights_1d(), sched.seg_len);
+                sched.v1d = build_v_frags(plan.exec_kernel.weights_1d(), sched.seg_len);
             }
         }
         sched
     }
 
-    /// Append one rank-1 term, returning its [`Op::MmaChain`] op
-    /// (lowering helper for the per-dimension rules).
-    pub(crate) fn push_term(&mut self, term: &RankOneTerm) -> Op {
-        let idx = self.terms.len() as u16;
-        self.terms.push(LoweredTerm { term: term.clone(), frags: None });
-        Op::MmaChain { term: idx }
+    /// 1-D lowering rule (§IV-C): a 1-D stencil has dependencies along
+    /// a single dimension, so there is no dimension residue and the
+    /// whole tile program is one [`Op::RdgGather`] — pack eight
+    /// overlapping input segments as the rows of an 8×S matrix `X` and
+    /// multiply by the banded weight matrix `V` (Eq. 11) to update 64
+    /// points at once.
+    fn lower_1d(&mut self, seg_len: usize) {
+        self.seg_len = seg_len;
+        self.ops.push(Op::RdgGather);
     }
+
+    /// 2-D lowering rule: stage the (single) plane, build the X
+    /// fragments, one MMA chain per rank-1 term of the PMA
+    /// decomposition (re-using the fragments), then the pyramid tip.
+    fn lower_2d(&mut self, decomp: &Decomposition) {
+        // 2-D has one plane per job, so double staging shows up as
+        // cross-job slot parity in the interpreter, not in the op list:
+        // slot 0 here
+        self.ops.push(Op::Stage { dz: self.h, slot: 0 });
+        self.push_decomp(decomp, 0);
+    }
+
+    /// 3-D lowering rule (Algorithm 2): a radius-`h` 3-D kernel is the
+    /// superposition of `2h+1` z-planes, emitted in plane order —
+    /// `SkipPlane` for zero planes, `PointwisePlane` for single-weight
+    /// planes (CUDA cores, no dependency gathering), and the full
+    /// stage/frag/chain/tip sequence for planes needing 2-D gathering.
+    ///
+    /// Under [`Staging::Double`] the RDG planes are software-pipelined:
+    /// the next plane's window is staged into the idle slot before the
+    /// current slot's fragments are consumed, so the halo loads overlap
+    /// the MMA chain. Pointwise/skip planes are emitted first (their
+    /// scalar accumulator is separate from the MMA fragment, so
+    /// regrouping keeps every FP addition order — and therefore every
+    /// output bit — intact): `Stage(p₀ → slot 0); for each RDG plane i:
+    /// Stage(p_{i+1} → slot (i+1)&1) if any, FragBuild(slot i&1), chains,
+    /// tip`.
+    fn lower_3d(&mut self, plane_ops: &[PlaneOp]) {
+        let double = self.staging == Staging::Double;
+        let mut rdg = Vec::new();
+        for (dz, op) in plane_ops.iter().enumerate() {
+            match op {
+                PlaneOp::Skip => self.ops.push(Op::SkipPlane { dz }),
+                PlaneOp::Pointwise(w) => self.ops.push(Op::PointwisePlane { dz, weight: *w }),
+                PlaneOp::Rdg(decomp) if double => rdg.push((dz, decomp)),
+                PlaneOp::Rdg(decomp) => {
+                    self.ops.push(Op::Stage { dz, slot: 0 });
+                    self.push_decomp(decomp, 0);
+                }
+            }
+        }
+        if let Some(&(dz0, _)) = rdg.first() {
+            self.ops.push(Op::Stage { dz: dz0, slot: 0 });
+        }
+        for (i, &(_, decomp)) in rdg.iter().enumerate() {
+            if let Some(&(dz_next, _)) = rdg.get(i + 1) {
+                self.ops.push(Op::Stage { dz: dz_next, slot: ((i + 1) & 1) as u8 });
+            }
+            self.push_decomp(decomp, (i & 1) as u8);
+        }
+    }
+
+    /// Emit one staged decomposition: `FragBuild(slot)`, one MMA chain
+    /// per rank-1 term, then the pyramid tip. The `Pointwise` op is
+    /// emitted even for a zero tip so every chain has a delimiter.
+    fn push_decomp(&mut self, decomp: &Decomposition, slot: u8) {
+        self.ops.push(Op::FragBuild { slot });
+        for term in &decomp.terms {
+            let idx = self.terms.len() as u16;
+            self.terms.push(LoweredTerm { term: term.clone(), frags: None });
+            self.ops.push(Op::MmaChain { term: idx });
+        }
+        self.ops.push(Op::Pointwise { weight: decomp.pointwise });
+    }
+}
+
+/// Build the banded `V` fragments for the 1-D weights: `S/4` B-fragments
+/// of the `S×8` matrix `V[c][q] = w[c − q − 0]` band (`V[q + k][q] = w[k]`).
+fn build_v_frags(w: &[f64], seg_len: usize) -> Vec<FragB> {
+    let mut dense = vec![[0.0f64; MMA_N]; seg_len];
+    for q in 0..MMA_N {
+        for (k, &wk) in w.iter().enumerate() {
+            let r = q + k;
+            debug_assert!(r < seg_len);
+            dense[r][q] = wk;
+        }
+    }
+    (0..seg_len / MMA_K)
+        .map(|blk| {
+            let mut f = FragB::zero();
+            for k in 0..MMA_K {
+                for q in 0..MMA_N {
+                    f.set(k, q, dense[blk * MMA_K + k][q]);
+                }
+            }
+            f
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -1,23 +1,27 @@
-//! Reusable execution sessions for long-lived callers (the serve daemon).
+//! The time loop: a run of `iterations` steps as `iterations / fusion`
+//! fused applications, then the remainder on an unfused workspace.
 //!
-//! [`run`](super::run) builds a plan, lowers it, allocates workspaces and
-//! grid planes, steps, and throws everything away. A request server
-//! answering the same (kernel, config, extents) job thousands of times
-//! should pay that setup once: an [`ExecSession`] owns the tuned fused
-//! workspace, the unfused-remainder workspace, and the double-buffered
-//! planes, and re-runs jobs with **zero heap allocation** after the first
-//! call. Results — values and invariant counters — are bit-identical to
-//! the one-shot [`run`](super::run) path by construction: both interpret
-//! the same lowered schedules in the same fused/remainder split.
+//! An [`ExecSession`] is the one owner of that split. The one-shot
+//! entry points ([`run`](super::run), [`run_tuned`](super::run_tuned))
+//! build a session over the caller's planes, run it once and hand the
+//! planes back; checkpointed runs drive a session in chunks that end on
+//! snapshot boundaries; and a request server answering the same
+//! (kernel, config, extents) job thousands of times keeps one session
+//! and re-runs it with **zero heap allocation** after the first call.
+//! All of them interpret the same lowered schedules in the same
+//! fused/remainder split, so values and invariant counters are
+//! bit-identical across them by construction.
 
-use super::stepper::Workspace;
+use super::stepper::{plane_extents, plane_shape, Stepper, Workspace};
 use super::ScheduleParams;
 use crate::plan::{ExecConfig, Plan};
 use stencil_core::StencilKernel;
 use tcu_sim::{BlockResources, GlobalArray, PerfCounters};
 
 /// A cached, re-runnable execution context for one
-/// (kernel, config, extents) triple.
+/// (kernel, config, extents) triple: a [`Stepper`] on the fused plan
+/// plus, when a run can end off a fusion boundary, the unfused
+/// remainder [`Workspace`].
 ///
 /// Construction does all the expensive work — tuning-DB lookup, low-rank
 /// decomposition, schedule lowering, fragment pre-building, plane and
@@ -25,17 +29,13 @@ use tcu_sim::{BlockResources, GlobalArray, PerfCounters};
 /// subsequent `fill` + `run` cycles allocate nothing and spawn no
 /// threads (`tests/steady_state.rs` enforces this end-to-end).
 pub struct ExecSession {
-    ws: Workspace,
-    /// Unfused workspace for `iterations % fusion` trailing steps; built
-    /// eagerly (the whole point is no work on the request path) when the
-    /// fused plan advances more than one step per application.
+    stepper: Stepper,
+    /// Unfused workspace for `iterations % fusion` trailing steps.
     rem_ws: Option<Workspace>,
     fusion: usize,
     params: ScheduleParams,
     block: BlockResources,
     extents: Vec<usize>,
-    cur: Vec<GlobalArray>,
-    next: Vec<GlobalArray>,
 }
 
 impl ExecSession {
@@ -45,13 +45,7 @@ impl ExecSession {
     /// path bit for bit). `extents` is `[n]`, `[rows, cols]` or
     /// `[nz, ny, nx]` and must match `kernel.dims()`.
     pub fn new(kernel: &StencilKernel, config: ExecConfig, extents: &[usize]) -> Self {
-        let plan = Plan::new_tuned(kernel, config, extents);
-        let rem = |fusion: usize| {
-            (fusion > 1).then(|| {
-                Plan::new_tuned(kernel, ExecConfig { allow_fusion: false, ..config }, extents)
-            })
-        };
-        Self::from_plan(kernel, plan, rem, extents)
+        Self::over(kernel, config, None, zeroed_planes(kernel, extents), None)
     }
 
     /// The explicit-params variant of [`new`](Self::new): build with
@@ -66,41 +60,37 @@ impl ExecSession {
         extents: &[usize],
         params: ScheduleParams,
     ) -> Self {
-        let plan = Plan::new_with_params(kernel, config, params);
-        let rem = |fusion: usize| {
-            (fusion > 1).then(|| {
-                Plan::new_with_params(kernel, ExecConfig { allow_fusion: false, ..config }, params)
-            })
-        };
-        Self::from_plan(kernel, plan, rem, extents)
+        Self::over(kernel, config, Some(params), zeroed_planes(kernel, extents), None)
     }
 
-    fn from_plan(
+    /// A session over `planes`, taken as the current grid without a
+    /// copy. `params` pins the schedule parameters (`None` consults the
+    /// tuning DB). The remainder workspace is built only if a run of
+    /// `iterations` steps ends off a fusion boundary; `None` (a
+    /// re-runnable session) builds it eagerly whenever the plan fuses,
+    /// so no later run pays for it.
+    pub(crate) fn over(
         kernel: &StencilKernel,
-        plan: Plan,
-        rem_plan: impl FnOnce(usize) -> Option<Plan>,
-        extents: &[usize],
+        config: ExecConfig,
+        params: Option<ScheduleParams>,
+        planes: Vec<GlobalArray>,
+        iterations: Option<usize>,
     ) -> Self {
-        assert_eq!(
-            extents.len(),
-            kernel.dims(),
-            "extents {extents:?} do not match a {}-D kernel",
-            kernel.dims()
-        );
-        let block = plan.block_resources();
-        let fusion = plan.fusion;
-        let params = plan.params;
-        let rem_ws = rem_plan(fusion).map(|rp| Workspace::new(&rp, extents));
-        let ws = Workspace::new(&plan, extents);
-        let (nplanes, rows, cols) = match *extents {
-            [n] => (1, 1, n),
-            [rows, cols] => (1, rows, cols),
-            [nz, ny, nx] => (nz, ny, nx),
-            _ => unreachable!("dims checked above"),
+        let extents = plane_extents(kernel.dims(), &planes);
+        let plan_for = |config: ExecConfig| match params {
+            Some(params) => Plan::new_with_params(kernel, config, params),
+            None => Plan::new_tuned(kernel, config, &extents),
         };
-        let cur = (0..nplanes).map(|_| GlobalArray::new(rows, cols)).collect();
-        let next = (0..nplanes).map(|_| GlobalArray::new(rows, cols)).collect();
-        ExecSession { ws, rem_ws, fusion, params, block, extents: extents.to_vec(), cur, next }
+        let plan = plan_for(config);
+        let (fusion, params, block) = (plan.fusion, plan.params, plan.block_resources());
+        let needs_rem = iterations.map_or(fusion > 1, |n| n % fusion != 0);
+        // the remainder is unfused by construction; the other knobs
+        // (tuned or pinned params) still apply
+        let rem_ws = needs_rem.then(|| {
+            Workspace::new(&plan_for(ExecConfig { allow_fusion: false, ..config }), &extents)
+        });
+        let stepper = Stepper::new(plan, planes);
+        ExecSession { stepper, rem_ws, fusion, params, block, extents }
     }
 
     /// Overwrite the current grid with `f(linear_index)`, the same
@@ -108,7 +98,7 @@ impl ExecSession {
     /// and an offline `--seed` grid agree element for element).
     pub fn fill_with(&mut self, mut f: impl FnMut(u64) -> f64) {
         let mut idx = 0u64;
-        for plane in &mut self.cur {
+        for plane in self.stepper.planes_mut() {
             for v in plane.as_mut_slice() {
                 *v = f(idx);
                 idx += 1;
@@ -118,30 +108,46 @@ impl ExecSession {
 
     /// Run `iterations` time steps from the current grid contents:
     /// `iterations / fusion` fused applications, then the remainder on
-    /// the unfused workspace — the exact split of [`run`](super::run).
-    /// The result becomes the current grid; counters are the merged
-    /// per-application invariants.
+    /// the unfused workspace. The result becomes the current grid;
+    /// counters are the merged per-application invariants.
     pub fn run(&mut self, iterations: usize) -> PerfCounters {
         let mut counters = PerfCounters::new();
-        let full = iterations / self.fusion;
-        let rem = iterations % self.fusion;
-        for _ in 0..full {
-            counters.merge(&self.ws.apply_planes(&self.cur, &mut self.next));
-            std::mem::swap(&mut self.cur, &mut self.next);
+        for _ in 0..iterations / self.fusion {
+            counters.merge(&self.stepper.step());
         }
+        let rem = iterations % self.fusion;
         if rem > 0 {
-            let rw = self.rem_ws.as_mut().expect("fusion > 1 implies a remainder workspace");
+            let ws = self.rem_ws.as_mut().expect("a remainder needs the unfused workspace");
             for _ in 0..rem {
-                counters.merge(&rw.apply_planes(&self.cur, &mut self.next));
-                std::mem::swap(&mut self.cur, &mut self.next);
+                counters.merge(&self.stepper.step_with(ws));
             }
         }
         counters
     }
 
+    /// Run once and give the planes back: the one-shot entry points'
+    /// `(planes, counters, block)` result.
+    pub(crate) fn run_once(
+        mut self,
+        iterations: usize,
+    ) -> (Vec<GlobalArray>, PerfCounters, BlockResources) {
+        let counters = self.run(iterations);
+        (self.stepper.into_planes(), counters, self.block)
+    }
+
+    /// Where the applications of a [`run`](Self::run) of `iterations`
+    /// steps end, as step offsets from its start: every `fusion` steps
+    /// through the fused phase, then every step of the remainder. Runs
+    /// of chunks that end on these offsets execute exactly the
+    /// applications of one unchunked run.
+    pub(crate) fn application_ends(&self, iterations: usize) -> impl Iterator<Item = usize> {
+        let fused = iterations - iterations % self.fusion;
+        (self.fusion..=fused).step_by(self.fusion).chain(fused + 1..=iterations)
+    }
+
     /// The current grid planes (job output after [`run`](Self::run)).
     pub fn planes(&self) -> &[GlobalArray] {
-        &self.cur
+        self.stepper.planes()
     }
 
     /// Grid extents the session was built for.
@@ -171,6 +177,18 @@ impl ExecSession {
     }
 }
 
+/// Zeroed planes for a grid of `extents` under a `kernel.dims()`-D kernel.
+fn zeroed_planes(kernel: &StencilKernel, extents: &[usize]) -> Vec<GlobalArray> {
+    assert_eq!(
+        extents.len(),
+        kernel.dims(),
+        "extents {extents:?} do not match a {}-D kernel",
+        kernel.dims()
+    );
+    let [nplanes, rows, cols] = plane_shape(extents);
+    (0..nplanes).map(|_| GlobalArray::new(rows, cols)).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -192,12 +210,7 @@ mod tests {
         seed: u64,
     ) -> (Vec<f64>, PerfCounters) {
         let f = seed_fn(seed);
-        let (nplanes, rows, cols) = match *extents {
-            [n] => (1, 1, n),
-            [rows, cols] => (1, rows, cols),
-            [nz, ny, nx] => (nz, ny, nx),
-            _ => unreachable!(),
-        };
+        let [nplanes, rows, cols] = plane_shape(extents);
         let mut idx = 0u64;
         let planes: Vec<GlobalArray> = (0..nplanes)
             .map(|_| {

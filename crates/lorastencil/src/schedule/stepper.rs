@@ -21,8 +21,8 @@
 //! FP operation order) is identical for every tile size.
 
 use super::backend::{Backend, CudaCore, SimdCore, SparseTcu, TcuF64};
-use super::{BackendKind, Op, Schedule, ScheduleParams, Staging};
-use crate::exec::scratch::{with_tile_scratch, TileScratch};
+use super::scratch::{with_tile_scratch, TileScratch};
+use super::{BackendKind, ExecSession, Op, Schedule, ScheduleParams, Staging};
 use crate::plan::{ExecConfig, Plan};
 use crate::rdg::TILE_M;
 use foundation::par::*;
@@ -427,107 +427,76 @@ impl Stepper {
     /// Set up the loop over `planes` for `plan` (one plane for 1-D
     /// arrays — shaped `1 × n` — and 2-D grids; `nz` planes for 3-D).
     pub fn new(plan: Plan, planes: Vec<GlobalArray>) -> Self {
-        let extents = match plan.dims() {
-            1 => vec![planes[0].cols()],
-            2 => vec![planes[0].rows(), planes[0].cols()],
-            _ => vec![planes.len(), planes[0].rows(), planes[0].cols()],
-        };
-        let ws = Workspace::new(&plan, &extents);
+        let ws = Workspace::new(&plan, &plane_extents(plan.dims(), &planes));
         let next = planes.iter().map(|p| GlobalArray::new(p.rows(), p.cols())).collect();
         Stepper { ws, cur: planes, next }
-    }
-
-    /// Set up the loop over a single-plane grid.
-    pub fn from_grid(plan: Plan, input: GlobalArray) -> Self {
-        Stepper::new(plan, vec![input])
     }
 
     /// Advance one (possibly fused) application; the result becomes the
     /// current state.
     pub fn step(&mut self) -> PerfCounters {
-        let c = self.ws.apply_planes(&self.cur, &mut self.next);
-        std::mem::swap(&mut self.cur, &mut self.next);
-        c
+        ping_pong(&mut self.ws, &mut self.cur, &mut self.next)
     }
 
-    /// The current single-plane grid.
-    pub fn grid(&self) -> &GlobalArray {
-        &self.cur[0]
+    /// Advance one application of another plan's workspace over the same
+    /// planes (the session's unfused remainder).
+    pub(crate) fn step_with(&mut self, ws: &mut Workspace) -> PerfCounters {
+        ping_pong(ws, &mut self.cur, &mut self.next)
     }
 
-    /// The current volume's planes.
+    /// The current planes.
     pub fn planes(&self) -> &[GlobalArray] {
         &self.cur
     }
 
-    /// Copy out the current planes — the checkpoint hook between steps.
-    /// Only the live side of the ping-pong pair is captured: the partner
-    /// buffer is fully overwritten by the next application, so it holds
-    /// no resumable state. The copy allocates (serialization may); the
-    /// step loop itself stays allocation-free.
-    pub fn capture_planes(&self) -> Vec<GlobalArray> {
-        self.cur.clone()
-    }
-
-    /// Consume the stepper, returning the current single-plane grid.
-    pub fn into_grid(mut self) -> GlobalArray {
-        self.cur.swap_remove(0)
+    /// Mutable access to the current planes (a session's fill).
+    pub(crate) fn planes_mut(&mut self) -> &mut [GlobalArray] {
+        &mut self.cur
     }
 
     /// Consume the stepper, returning the current planes.
-    pub fn into_planes(self) -> Vec<GlobalArray> {
+    pub(crate) fn into_planes(self) -> Vec<GlobalArray> {
         self.cur
     }
 }
 
-/// One (possibly fused) stencil application over a single-plane grid
-/// (allocating convenience form of the [`Stepper`] loop).
-pub fn apply_once(input: &GlobalArray, plan: &Plan) -> (GlobalArray, PerfCounters) {
-    let (rows, cols) = (input.rows(), input.cols());
-    let extents: &[usize] = if plan.dims() == 1 { &[cols] } else { &[rows, cols] };
-    let mut ws = Workspace::new(plan, extents);
-    let mut out = GlobalArray::new(rows, cols);
-    let counters = ws.apply(input, &mut out);
-    (out, counters)
+/// One application of `ws` from `cur` into `next`, then swap the pair.
+fn ping_pong(
+    ws: &mut Workspace,
+    cur: &mut Vec<GlobalArray>,
+    next: &mut Vec<GlobalArray>,
+) -> PerfCounters {
+    let c = ws.apply_planes(cur, next);
+    std::mem::swap(cur, next);
+    c
 }
 
-/// One stencil application over a volume (allocating convenience form).
-pub fn apply_once_planes(planes: &[GlobalArray], plan: &Plan) -> (Vec<GlobalArray>, PerfCounters) {
-    let (nz, ny, nx) = (planes.len(), planes[0].rows(), planes[0].cols());
-    let mut ws = Workspace::new(plan, &[nz, ny, nx]);
-    let mut out: Vec<GlobalArray> = (0..nz).map(|_| GlobalArray::new(ny, nx)).collect();
-    let counters = ws.apply_planes(planes, &mut out);
-    (out, counters)
+/// The extents (`[n]`, `[rows, cols]` or `[nz, ny, nx]`) of `planes` as
+/// seen by a `dims`-dimensional kernel: the trailing `dims` entries of
+/// `[planes, rows, cols]`.
+pub(crate) fn plane_extents(dims: usize, planes: &[GlobalArray]) -> Vec<usize> {
+    [planes.len(), planes[0].rows(), planes[0].cols()][3 - dims..].to_vec()
 }
 
-/// The grid extents of `planes` as seen by a `dims`-dimensional kernel.
-fn grid_extents(kernel: &StencilKernel, planes: &[GlobalArray]) -> Vec<usize> {
-    match kernel.dims() {
-        1 => vec![planes[0].cols()],
-        2 => vec![planes[0].rows(), planes[0].cols()],
-        _ => vec![planes.len(), planes[0].rows(), planes[0].cols()],
-    }
+/// The `[planes, rows, cols]` shape of a grid with `extents`, the
+/// inverse of [`plane_extents`]: missing leading extents are 1.
+pub(crate) fn plane_shape(extents: &[usize]) -> [usize; 3] {
+    let mut shape = [1; 3];
+    shape[3 - extents.len()..].copy_from_slice(extents);
+    shape
 }
 
-/// The full time loop every public executor shares: plan (consulting the
+/// The full time loop of the one-shot entry points: plan (consulting the
 /// installed tuning DB for this kernel/extents/config, falling back to
-/// default [`ScheduleParams`]), split the iterations into fused
-/// applications plus an unfused remainder, and step through both phases
-/// with reused buffers.
+/// default [`ScheduleParams`]) and run an [`ExecSession`] over `planes`
+/// for `iterations` steps.
 pub fn run(
     kernel: &StencilKernel,
     config: ExecConfig,
     planes: Vec<GlobalArray>,
     iterations: usize,
 ) -> (Vec<GlobalArray>, PerfCounters, BlockResources) {
-    let extents = grid_extents(kernel, &planes);
-    let plan = Plan::new_tuned(kernel, config, &extents);
-    let rem_plan = |rem: usize| {
-        (rem > 0).then(|| {
-            Plan::new_tuned(kernel, ExecConfig { allow_fusion: false, ..config }, &extents)
-        })
-    };
-    run_with_plans(plan, rem_plan, planes, iterations)
+    ExecSession::over(kernel, config, None, planes, Some(iterations)).run_once(iterations)
 }
 
 /// The explicit-params variant of [`run`]: execute with exactly the
@@ -541,39 +510,5 @@ pub fn run_tuned(
     planes: Vec<GlobalArray>,
     iterations: usize,
 ) -> (Vec<GlobalArray>, PerfCounters, BlockResources) {
-    let plan = Plan::new_with_params(kernel, config, params);
-    let rem_plan = |rem: usize| {
-        (rem > 0).then(|| {
-            // the remainder is unfused by construction; the candidate's
-            // other knobs still apply
-            Plan::new_with_params(kernel, ExecConfig { allow_fusion: false, ..config }, params)
-        })
-    };
-    run_with_plans(plan, rem_plan, planes, iterations)
-}
-
-fn run_with_plans(
-    plan: Plan,
-    rem_plan: impl FnOnce(usize) -> Option<Plan>,
-    planes: Vec<GlobalArray>,
-    iterations: usize,
-) -> (Vec<GlobalArray>, PerfCounters, BlockResources) {
-    let block = plan.block_resources();
-    let full = iterations / plan.fusion;
-    let rem = iterations % plan.fusion;
-    let base_plan = rem_plan(rem);
-    let mut counters = PerfCounters::new();
-    let mut stepper = Stepper::new(plan, planes);
-    for _ in 0..full {
-        counters.merge(&stepper.step());
-    }
-    let mut cur = stepper.into_planes();
-    if let Some(bp) = base_plan {
-        let mut stepper = Stepper::new(bp, cur);
-        for _ in 0..rem {
-            counters.merge(&stepper.step());
-        }
-        cur = stepper.into_planes();
-    }
-    (cur, counters, block)
+    ExecSession::over(kernel, config, Some(params), planes, Some(iterations)).run_once(iterations)
 }

@@ -10,7 +10,7 @@
 //! lorastencil run --kernel Box-2D49P --size 256x256 --iters 4 --verify
 //! lorastencil run --kernel Heat-3D --method ConvStencil --size 8x64x64
 //! lorastencil run --kernel Box-2D9P --config no-bvs       # ablation
-//! lorastencil emit-cuda --kernel Box-2D49P
+//! lorastencil emit --kernel Box-2D49P --target cuda
 //! lorastencil analyze --radius 3
 //! ```
 
@@ -525,14 +525,6 @@ pub fn trace_text(kernel: &StencilKernel, config: ExecConfig) -> Result<String, 
     Ok(out)
 }
 
-/// The `emit-cuda` subcommand body (also reachable as `codegen`, its
-/// pre-IR name): render the CUDA/WMMA listing of any registered kernel's
-/// plan — 1-D, 2-D or 3-D, under any `--config` toggle set — by walking
-/// the lowered schedule. Kept as the `--target cuda` shorthand.
-pub fn codegen_text(kernel: &StencilKernel, config: ExecConfig) -> Result<String, String> {
-    Ok(codegen::emit_cuda(&Plan::new(kernel, config)))
-}
-
 /// Parse a `--target` value, with a "did you mean" hint for near-miss
 /// spellings (`wsgl` → `wgsl`).
 pub fn parse_target(token: &str) -> Result<codegen::Target, String> {
@@ -588,7 +580,7 @@ pub fn usage() -> &'static str {
                       [--size NxM] [--iters N] [--trace-out <file>] [--tuning-db <file>]\n\
        lorastencil validate-trace --load <file>\n\
        lorastencil emit (--kernel <name> | --spec <file>) [--target cuda|hip|wgsl]\n\
-                      [--config ...] [--backend ...]   # emit-cuda = emit --target cuda\n\
+                      [--config ...] [--backend ...]\n\
        lorastencil trace (--kernel <name> | --spec <file>) [--config ...]\n\
        lorastencil analyze [--radius h]\n\
        lorastencil serve (--socket <path> | --tcp <addr>) [--plan-cache N] [--max-conns N]\n\
@@ -722,12 +714,7 @@ weights1d:
         assert!(e.contains("did you mean wgsl?"), "{e}");
         let e = parse_target("metal").unwrap_err();
         assert!(e.contains("unknown target") && !e.contains("did you mean"), "{e}");
-        // `emit --target cuda` and the deprecated `emit-cuda` body agree
         let k = find_kernel("Box-2D9P").unwrap();
-        assert_eq!(
-            emit_text(&k, ExecConfig::full(), Target::Cuda).unwrap(),
-            codegen_text(&k, ExecConfig::full()).unwrap()
-        );
         for t in Target::ALL {
             assert!(!emit_text(&k, ExecConfig::full(), t).unwrap().is_empty());
         }
@@ -858,16 +845,18 @@ weights1d:
 
     #[test]
     fn emit_cuda_covers_every_dimension() {
+        use lorastencil::codegen::Target;
+        let cuda = |k: &StencilKernel, cfg| emit_text(k, cfg, Target::Cuda).unwrap();
         let k2 = find_kernel("Star-2D13P").unwrap();
-        assert!(codegen_text(&k2, ExecConfig::full()).unwrap().contains("wmma"));
+        assert!(cuda(&k2, ExecConfig::full()).contains("wmma"));
         let k3 = find_kernel("Box-3D27P").unwrap();
-        assert!(codegen_text(&k3, ExecConfig::full()).unwrap().contains("plane dz="));
+        assert!(cuda(&k3, ExecConfig::full()).contains("plane dz="));
         let k1 = find_kernel("Heat-1D").unwrap();
-        let one = codegen_text(&k1, ExecConfig::full()).unwrap();
+        let one = cuda(&k1, ExecConfig::full());
         assert!(one.contains("V1D"), "1-D listing uses the banded gather matrix");
         // ablation toggles flow into the listing
         let cfg = ExecConfig { use_async_copy: false, ..ExecConfig::full() };
-        assert!(!codegen_text(&k2, cfg).unwrap().contains("cp.async"));
+        assert!(!cuda(&k2, cfg).contains("cp.async"));
     }
 
     #[test]

@@ -22,7 +22,7 @@ fn profiled_run() -> (Vec<(&'static str, u64)>, Vec<(String, u64)>, usize) {
             input.poke(r, c, ((r * 13 + c * 7) % 19) as f64 * 0.25 - 1.0);
         }
     }
-    let mut stepper = Stepper::from_grid(plan, input);
+    let mut stepper = Stepper::new(plan, vec![input]);
     for _ in 0..3 {
         stepper.step();
     }
@@ -71,7 +71,7 @@ fn trace_and_breakdown_are_deterministic_across_thread_counts() {
     obs::reset();
     obs::enable();
     let plan = Plan::new(&kernels::box_2d9p(), ExecConfig::full());
-    let mut stepper = Stepper::from_grid(plan, GlobalArray::new(32, 32));
+    let mut stepper = Stepper::new(plan, vec![GlobalArray::new(32, 32)]);
     stepper.step();
     obs::disable();
     std::env::remove_var("FOUNDATION_THREADS");

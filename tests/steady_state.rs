@@ -36,7 +36,7 @@ fn steady_state_steps_allocate_nothing_and_spawn_nothing() {
             input.poke(r, c, ((r * 13 + c * 7) % 19) as f64 * 0.25 - 1.0);
         }
     }
-    let mut stepper = Stepper::from_grid(plan, input);
+    let mut stepper = Stepper::new(plan, vec![input]);
 
     // Allocation assertion under sequential lanes: each pool worker
     // lazily allocates its tile scratch on the first tile it ever runs,
@@ -67,8 +67,8 @@ fn steady_state_steps_allocate_nothing_and_spawn_nothing() {
     let fingerprint =
         lorastencil::checkpoint::plan_fingerprint(&kernel, ExecConfig::full(), &[64, 64]);
     for round in 0..3u64 {
-        // a checkpoint boundary: capture + encode + fsync (may allocate)
-        let planes = stepper.capture_planes();
+        // a checkpoint boundary: copy + encode + fsync (may allocate)
+        let planes = stepper.planes();
         let snap = stencil_core::checkpoint::Snapshot {
             flags: stencil_core::checkpoint::FLAG_SEEDED_INPUT,
             fingerprint,
