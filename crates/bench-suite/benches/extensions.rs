@@ -38,7 +38,9 @@ fn bench_io(c: &mut Bench) {
 
 fn bench_codegen(c: &mut Bench) {
     let plan = Plan::new(&kernels::box_2d49p(), ExecConfig::full());
-    c.bench_function("codegen_emit_box2d49p", |b| b.iter(|| codegen::emit_cuda(black_box(&plan))));
+    c.bench_function("codegen_emit_box2d49p", |b| {
+        b.iter(|| codegen::emit(black_box(&plan), codegen::Target::Cuda))
+    });
 }
 
 fn bench_distributed(c: &mut Bench) {

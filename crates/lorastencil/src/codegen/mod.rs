@@ -7,16 +7,17 @@
 //! One target-independent driver ([`audit`]) walks the schedule exactly
 //! once; everything target-specific lives behind the [`Emitter`] trait:
 //!
-//! * [`Target::Cuda`] ([`cuda`]) — the A100 CUDA/WMMA listing:
-//!   `cp.async` staging, `wmma::load_matrix_sync` fragment loads, the
-//!   per-term `mma.sync.aligned.m8n8k4.f64` chains of RDG (`mma.sp` for
+//! * [`Target::Cuda`] and [`Target::Hip`] ([`cxx`]) — one C-family
+//!   emitter instantiated with the [`cxx::CUDA`] or [`cxx::HIP`]
+//!   dialect table. The A100 CUDA/WMMA listing renders `cp.async`
+//!   staging, `wmma::load_matrix_sync` fragment loads, the per-term
+//!   `mma.sync.aligned.m8n8k4.f64` chains of RDG (`mma.sp` for
 //!   2:4-compressed terms on the sparse backend), and the butterfly
 //!   register reinterpretation of BVS — which appears as *no code at
 //!   all* on the T side, only as the swapped row mapping baked into the
-//!   V constants.
-//! * [`Target::Hip`] ([`hip`]) — the rocWMMA analogue for CDNA GPUs:
-//!   near-CUDA, but no `cp.async` and no f64 structured sparsity, so
-//!   those mechanisms render their documented fallbacks.
+//!   V constants. The rocWMMA analogue for CDNA GPUs differs only in
+//!   spellings and in its [`Caps`]: no `cp.async` and no f64 structured
+//!   sparsity, so those mechanisms render their documented fallbacks.
 //! * [`Target::Wgsl`] ([`wgsl`]) — a WebGPU compute shader: no
 //!   cooperative matrices and no f64, so the MMA chains are spelled out
 //!   as scalar loops over the exact A100 fragment lane layout, with
@@ -31,8 +32,7 @@
 //! produced — the hook stencil-verify's structural conformance checks
 //! and the exhaustiveness guard build on.
 
-pub mod cuda;
-pub mod hip;
+pub mod cxx;
 pub mod wgsl;
 
 use crate::plan::Plan;
@@ -255,11 +255,11 @@ pub trait Emitter {
 }
 
 /// The emitter for a target.
-fn emitter_for(target: Target) -> Box<dyn Emitter> {
+fn emitter_for(target: Target) -> &'static dyn Emitter {
     match target {
-        Target::Cuda => Box::new(cuda::CudaEmitter),
-        Target::Hip => Box::new(hip::HipEmitter),
-        Target::Wgsl => Box::new(wgsl::WgslEmitter),
+        Target::Cuda => &cxx::CUDA,
+        Target::Hip => &cxx::HIP,
+        Target::Wgsl => &wgsl::WgslEmitter,
     }
 }
 
@@ -298,12 +298,6 @@ pub fn audit(plan: &Plan, target: Target) -> Audit {
 /// Render the kernel listing of a plan for a target.
 pub fn emit(plan: &Plan, target: Target) -> String {
     audit(plan, target).listing
-}
-
-/// Render the CUDA/WMMA listing (the historical single-target entry
-/// point, kept as the [`Target::Cuda`] shorthand).
-pub fn emit_cuda(plan: &Plan) -> String {
-    emit(plan, Target::Cuda)
 }
 
 /// Round-trip-exact f64 literal: the shortest decimal string that
@@ -389,7 +383,7 @@ mod tests {
     #[test]
     fn listing_reflects_the_plan() {
         let plan = Plan::new(&kernels::box_2d49p(), ExecConfig::full());
-        let code = emit_cuda(&plan);
+        let code = emit(&plan, Target::Cuda);
         // three terms → three weight tables and three RDG sections
         for ti in 0..3 {
             assert!(code.contains(&format!("__constant__ double U{ti}")));
@@ -407,7 +401,7 @@ mod tests {
     fn non_bvs_listing_contains_shuffles() {
         let cfg = ExecConfig { use_bvs: false, ..ExecConfig::full() };
         let plan = Plan::new(&kernels::box_2d49p(), cfg);
-        let code = emit_cuda(&plan);
+        let code = emit(&plan, Target::Cuda);
         assert!(code.contains("__shfl_sync"));
     }
 
@@ -415,7 +409,7 @@ mod tests {
     fn staged_listing_skips_cp_async() {
         let cfg = ExecConfig { use_async_copy: false, ..ExecConfig::full() };
         let plan = Plan::new(&kernels::box_2d9p(), cfg);
-        let code = emit_cuda(&plan);
+        let code = emit(&plan, Target::Cuda);
         assert!(!code.contains("cp.async"));
         assert!(code.contains("staged copy"));
     }
@@ -423,7 +417,7 @@ mod tests {
     #[test]
     fn star_kernel_listing_has_no_pointwise_tip() {
         let plan = Plan::new(&kernels::star_2d13p(), ExecConfig::full());
-        let code = emit_cuda(&plan);
+        let code = emit(&plan, Target::Cuda);
         assert!(!code.contains("pyramid tip"));
         assert!(code.contains("rank-1 terms"));
     }
@@ -431,11 +425,11 @@ mod tests {
     #[test]
     fn weight_tables_carry_the_butterfly_swap() {
         // with BVS the V tables differ from the natural-order tables
-        let bvs = emit_cuda(&Plan::new(&kernels::box_2d49p(), ExecConfig::full()));
-        let nat = emit_cuda(&Plan::new(
-            &kernels::box_2d49p(),
-            ExecConfig { use_bvs: false, ..ExecConfig::full() },
-        ));
+        let bvs = emit(&Plan::new(&kernels::box_2d49p(), ExecConfig::full()), Target::Cuda);
+        let nat = emit(
+            &Plan::new(&kernels::box_2d49p(), ExecConfig { use_bvs: false, ..ExecConfig::full() }),
+            Target::Cuda,
+        );
         let table = |s: &str| {
             s.lines()
                 .skip_while(|l| !l.contains("__constant__ double V0"))
@@ -452,8 +446,8 @@ mod tests {
     fn listing_is_deterministic_and_nonempty_per_dimension() {
         for k in [kernels::heat_1d(), kernels::box_2d49p(), kernels::heat_3d()] {
             let plan = Plan::new(&k, ExecConfig::full());
-            let a = emit_cuda(&plan);
-            let b = emit_cuda(&plan);
+            let a = emit(&plan, Target::Cuda);
+            let b = emit(&plan, Target::Cuda);
             assert_eq!(a, b, "{}: listing must be deterministic", k.name);
             assert!(a.contains("__global__ void lorastencil_"), "{}", k.name);
             assert!(a.contains("mma_sync"), "{}: must reach the tensor cores", k.name);
@@ -463,14 +457,16 @@ mod tests {
     #[test]
     fn butterfly_swap_is_mentioned_only_with_bvs() {
         for k in [kernels::box_2d49p(), kernels::heat_3d()] {
-            let on = emit_cuda(&Plan::new(&k, ExecConfig::full()));
-            let off =
-                emit_cuda(&Plan::new(&k, ExecConfig { use_bvs: false, ..ExecConfig::full() }));
+            let on = emit(&Plan::new(&k, ExecConfig::full()), Target::Cuda);
+            let off = emit(
+                &Plan::new(&k, ExecConfig { use_bvs: false, ..ExecConfig::full() }),
+                Target::Cuda,
+            );
             assert!(on.contains("butterfly"), "{}: BVS listing must explain the swap", k.name);
             assert!(!off.contains("butterfly"), "{}: non-BVS listing must not", k.name);
         }
         // 1-D has no step-2 accumulator split, so never mentions the swap
-        let one = emit_cuda(&Plan::new(&kernels::heat_1d(), ExecConfig::full()));
+        let one = emit(&Plan::new(&kernels::heat_1d(), ExecConfig::full()), Target::Cuda);
         assert!(!one.contains("butterfly"));
     }
 
@@ -490,7 +486,7 @@ mod tests {
                     })
                     .sum(),
             };
-            let code = emit_cuda(&plan);
+            let code = emit(&plan, Target::Cuda);
             assert_eq!(code.matches("__constant__ double U").count(), terms, "{}", k.name);
             // the 1-D banded table is named V1D, so exact-prefix count the
             // per-term tables only
@@ -506,7 +502,7 @@ mod tests {
         use crate::schedule::ScheduleParams;
         let params = ScheduleParams { staging: Staging::Double, ..ScheduleParams::default() };
         let plan = Plan::new_with_params(&kernels::box_3d27p(), ExecConfig::full(), params);
-        let code = emit_cuda(&plan);
+        let code = emit(&plan, Target::Cuda);
         // two-slot shared window, both slots touched, prefetch annotated
         assert!(code.contains("__shared__ double tile[2]["));
         assert!(code.contains("tile[0][e / "));
@@ -514,7 +510,7 @@ mod tests {
         assert!(code.contains("prefetch plane"));
         assert!(code.contains("cp.async.wait_group"));
         // the default single-staged listing is untouched by the feature
-        let single = emit_cuda(&Plan::new(&kernels::box_3d27p(), ExecConfig::full()));
+        let single = emit(&Plan::new(&kernels::box_3d27p(), ExecConfig::full()), Target::Cuda);
         assert!(!single.contains("tile[2]["));
         assert!(!single.contains("prefetch"));
         assert!(single.contains("cp.async.wait_all"));
@@ -523,7 +519,7 @@ mod tests {
     #[test]
     fn three_d_listing_walks_every_plane() {
         let plan = Plan::new(&kernels::heat_3d(), ExecConfig::full());
-        let code = emit_cuda(&plan);
+        let code = emit(&plan, Target::Cuda);
         assert!(code.contains("plane dz=0"));
         assert!(code.contains("plane dz=1"));
         assert!(code.contains("plane dz=2"));
@@ -534,7 +530,7 @@ mod tests {
     #[test]
     fn one_d_listing_is_the_banded_gather() {
         let plan = Plan::new(&kernels::heat_1d(), ExecConfig::full());
-        let code = emit_cuda(&plan);
+        let code = emit(&plan, Target::Cuda);
         assert!(code.contains("V1D"));
         assert!(code.contains("overlapping"));
         assert!(!code.contains("RDG term"), "1-D has no per-term chains (§IV-C)");
@@ -593,7 +589,7 @@ mod tests {
         // mma.sp chain and the loud dense fallback.
         let cfg = ExecConfig { backend: crate::DeviceBackend::SparseTcu, ..ExecConfig::full() };
         let plan = Plan::new(&kernels::star_2d13p(), cfg);
-        let code = emit_cuda(&plan);
+        let code = emit(&plan, Target::Cuda);
         assert!(code.contains("mma_sp_sync"), "compressible terms must use mma.sp");
         assert!(code.contains("U0meta"), "sparse metadata table must be emitted");
         assert!(code.contains("dense chain fallback"), "incompressible term falls back loudly");
@@ -603,7 +599,7 @@ mod tests {
         // Box-2D49P's wide pyramid factors never compress: every term must
         // take the dense fallback, with the accumulator still declared.
         let cfg = ExecConfig { backend: crate::DeviceBackend::SparseTcu, ..ExecConfig::full() };
-        let code = emit_cuda(&Plan::new(&kernels::box_2d49p(), cfg));
+        let code = emit(&Plan::new(&kernels::box_2d49p(), cfg), Target::Cuda);
         assert!(!code.contains("mma_sp_sync"), "no compressible term in Box-2D49P");
         assert!(code.contains("dense chain fallback"));
         assert!(code.contains("wmma::fragment<wmma::accumulator, 8, 8, 4, double> acc;"));
@@ -614,7 +610,7 @@ mod tests {
         for backend in [crate::DeviceBackend::CudaCore, crate::DeviceBackend::SimdCore] {
             let cfg = ExecConfig { backend, ..ExecConfig::full() };
             let plan = Plan::new(&kernels::box_2d49p(), cfg);
-            let code = emit_cuda(&plan);
+            let code = emit(&plan, Target::Cuda);
             assert!(code.contains("__constant__ double u0["), "{backend:?}: raw u table");
             assert!(code.contains("const int shift0 ="), "{backend:?}: shift constant");
             assert!(code.contains("acc_s[e] += s;"), "{backend:?}: scalar chain");
@@ -697,7 +693,7 @@ mod tests {
     fn cuda_tables_no_longer_truncate_to_six_digits() {
         // Jacobi weights are 1/number, which 6-digit formatting destroyed
         let plan = Plan::new(&kernels::box_2d49p(), ExecConfig::full());
-        let code = emit_cuda(&plan);
+        let code = emit(&plan, Target::Cuda);
         let table_lines: Vec<&str> = code
             .lines()
             .skip_while(|l| !l.starts_with("__constant__ double U0"))
@@ -727,7 +723,7 @@ mod tests {
         // row 7: k = 2 in slot 0, zero-padded slot 1 → 0b0010 in the top nibble
         dense.set(7, 2, 9.0);
         let sp = FragASp::compress(&dense).unwrap();
-        let meta = cuda::pack_meta(&sp);
+        let meta = cxx::pack_meta(&sp);
         assert_eq!(meta & 0xf, 0b1101, "row 0: idx 1 then 3");
         assert_eq!((meta >> 28) & 0xf, 0b0010, "row 7: idx 2 then pad 0");
     }
