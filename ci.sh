@@ -272,9 +272,9 @@ loadgen_bench() {
 emit_smoke() {
     # multi-target codegen smoke: every emit target across one kernel
     # per dimensionality and all four device backends must render
-    # non-empty, and the CUDA output is diffed byte-for-byte against
-    # the checked-in goldens (tests/snapshots/cuda/) — any drift fails
-    # the build. Regenerate goldens
+    # non-empty, and each target's output is diffed byte-for-byte
+    # against its checked-in goldens (tests/snapshots/{cuda,hip,wgsl}/)
+    # — any drift fails the build. Regenerate goldens
     # deliberately with UPDATE_SNAPSHOTS=1 (see tests/codegen_snapshots.rs).
     local cli="cargo run --release --offline -p stencil-cli --bin lorastencil-cli --"
     local kernel backend target out=target/ci-emit.out
@@ -286,14 +286,17 @@ emit_smoke() {
                 [ -s "$out" ] || { echo "error: emit $kernel/$backend/$target is empty" >&2; exit 1; }
             done
         done
-        # golden pin: `emit --target cuda` == the checked-in snapshot
-        local stem golden
+        # golden pin: `emit --target <t>` == the checked-in snapshot
+        local stem golden spec
         stem=$(tr '[:upper:]' '[:lower:]' <<<"$kernel")
-        golden="tests/snapshots/cuda/$stem.cu"
-        $cli emit --kernel "$kernel" --target cuda >"$out"
-        diff -u "$golden" "$out" \
-            || { echo "error: $kernel CUDA listing drifted from $golden" >&2; exit 1; }
-        echo "   $kernel: 3 targets x 4 backends emitted; CUDA matches golden"
+        for spec in cuda:cu hip:hip wgsl:wgsl; do
+            target=${spec%%:*}
+            golden="tests/snapshots/$target/$stem.${spec##*:}"
+            $cli emit --kernel "$kernel" --target "$target" >"$out"
+            diff -u "$golden" "$out" \
+                || { echo "error: $kernel $target listing drifted from $golden" >&2; exit 1; }
+        done
+        echo "   $kernel: 3 targets x 4 backends emitted; every target matches its golden"
     done
     # a near-miss --target spelling must fail with a suggestion
     if $cli emit --kernel Heat-1D --target wsgl >/dev/null 2>"$out"; then
@@ -337,7 +340,7 @@ step "crash-resume smoke (run, tear newest snapshot, resume)" crash_resume_smoke
 step "flake hunt (serve + observability at 1/2/8 test threads, 20 repeats)" flake_hunt
 step "serve smoke (daemon over unix socket: parity, errors, shutdown)" serve_smoke
 step "serve loadgen (hit vs cold-plan >=5x gate, writes BENCH_pr8.json)" loadgen_bench
-step "emit smoke (3 targets x 4 backends x 3 dims; CUDA golden diff)" emit_smoke
+step "emit smoke (3 targets x 4 backends x 3 dims; golden diff per target)" emit_smoke
 step "checkpoint battery (FOUNDATION_THREADS=1)" checkpoint_battery
 step "perfbench build + tests (benchmark crate against the workspace)" perfbench_tests
 step "dependency audit (workspace members only)" dep_audit
