@@ -33,6 +33,7 @@
 
 use crate::plan::ExecConfig;
 use crate::schedule::ExecSession;
+use crate::tuning::TuningDbError;
 use stencil_core::checkpoint::{CheckpointStore, Plane, Snapshot, FLAG_SEEDED_INPUT};
 use stencil_core::{Grid1D, Grid2D, Grid3D, GridData, StencilKernel};
 use tcu_sim::{BlockResources, GlobalArray, PerfCounters};
@@ -45,8 +46,12 @@ use tcu_sim::{BlockResources, GlobalArray, PerfCounters};
 /// kernel/extents/config, or the defaults). Any change to any of these
 /// yields a different fingerprint, so resume rejects mismatched plans —
 /// a snapshot cannot be silently resumed under a different tuning-DB
-/// entry.
-pub fn plan_fingerprint(kernel: &StencilKernel, config: ExecConfig, extents: &[usize]) -> u64 {
+/// entry. Fails only when the tuning DB cannot be loaded.
+pub fn plan_fingerprint(
+    kernel: &StencilKernel,
+    config: ExecConfig,
+    extents: &[usize],
+) -> Result<u64, TuningDbError> {
     const OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01B3;
     struct Fnv(u64);
@@ -88,7 +93,7 @@ pub fn plan_fingerprint(kernel: &StencilKernel, config: ExecConfig, extents: &[u
     for &e in extents {
         h.eat_u64(e as u64);
     }
-    let params = crate::tuning::lookup(kernel, extents, config).unwrap_or_default();
+    let params = crate::tuning::lookup(kernel, extents, config)?.unwrap_or_default();
     h.eat_u64(params.tile_rows as u64);
     h.eat_u64(params.tile_cols as u64);
     h.eat_u64(match params.staging {
@@ -98,7 +103,7 @@ pub fn plan_fingerprint(kernel: &StencilKernel, config: ExecConfig, extents: &[u
     h.eat_u64(params.mma_batch as u64);
     // None and Some(n) must hash apart, so shift overrides by one
     h.eat_u64(params.fuse_override.map_or(0, |f| f as u64 + 1));
-    h.0
+    Ok(h.0)
 }
 
 /// A grid's extents (`[n]`, `[rows, cols]` or `[nz, ny, nx]`).
@@ -184,6 +189,9 @@ pub enum CkptRunError {
         /// Steps the run was asked for.
         total: u64,
     },
+    /// The tuning DB named by `LORASTENCIL_TUNING_DB` failed to load, so
+    /// the run's schedule (and its fingerprint) cannot be resolved.
+    TuningDb(TuningDbError),
 }
 
 impl std::fmt::Display for CkptRunError {
@@ -201,6 +209,7 @@ impl std::fmt::Display for CkptRunError {
                 "snapshot has already completed {step} of {total} requested steps — \
                  nothing to resume (raise --iters to continue further)"
             ),
+            CkptRunError::TuningDb(e) => write!(f, "LORASTENCIL_TUNING_DB: {e}"),
         }
     }
 }
@@ -210,6 +219,12 @@ impl std::error::Error for CkptRunError {}
 impl From<std::io::Error> for CkptRunError {
     fn from(e: std::io::Error) -> Self {
         CkptRunError::Io(e)
+    }
+}
+
+impl From<TuningDbError> for CkptRunError {
+    fn from(e: TuningDbError) -> Self {
+        CkptRunError::TuningDb(e)
     }
 }
 
@@ -245,7 +260,7 @@ fn run_loop(
     policy: &CkptPolicy,
 ) -> Result<CkptOutcome, CkptRunError> {
     assert!(policy.every >= 1, "CLI validation rejects --checkpoint-every < 1");
-    let fingerprint = plan_fingerprint(kernel, config, extents);
+    let fingerprint = plan_fingerprint(kernel, config, extents)?;
     let snapshot = |step: u64, planes: &[GlobalArray], counters: &PerfCounters| Snapshot {
         flags: FLAG_SEEDED_INPUT,
         fingerprint,
@@ -324,7 +339,7 @@ pub fn resume(
     snap: &Snapshot,
     policy: &CkptPolicy,
 ) -> Result<CkptOutcome, CkptRunError> {
-    let computed = plan_fingerprint(kernel, config, &snap.extents);
+    let computed = plan_fingerprint(kernel, config, &snap.extents)?;
     if computed != snap.fingerprint {
         return Err(CkptRunError::FingerprintMismatch {
             stored: snap.fingerprint,
@@ -369,21 +384,29 @@ mod tests {
     #[test]
     fn fingerprint_separates_kernel_config_and_extents() {
         let k = kernels::box_2d9p();
-        let base = plan_fingerprint(&k, ExecConfig::full(), &[64, 64]);
+        let base = plan_fingerprint(&k, ExecConfig::full(), &[64, 64]).unwrap();
         let cfg = ExecConfig { use_bvs: false, ..ExecConfig::full() };
-        assert_ne!(base, plan_fingerprint(&k, cfg, &[64, 64]), "config toggles change it");
-        assert_ne!(base, plan_fingerprint(&k, ExecConfig::full(), &[64, 65]), "extents change it");
+        assert_ne!(base, plan_fingerprint(&k, cfg, &[64, 64]).unwrap(), "config toggles change it");
+        assert_ne!(
+            base,
+            plan_fingerprint(&k, ExecConfig::full(), &[64, 65]).unwrap(),
+            "extents change it"
+        );
         let k2 = kernels::heat_2d();
-        assert_ne!(base, plan_fingerprint(&k2, ExecConfig::full(), &[64, 64]), "kernel changes it");
+        assert_ne!(
+            base,
+            plan_fingerprint(&k2, ExecConfig::full(), &[64, 64]).unwrap(),
+            "kernel changes it"
+        );
         // a weight perturbation alone (same name/radius) changes it
         let mut kw = k.clone();
         if let stencil_core::Weights::D2(m) = &mut kw.weights {
             let v = m.get(0, 0);
             m.set(0, 0, v + 1e-9);
         }
-        assert_ne!(base, plan_fingerprint(&kw, ExecConfig::full(), &[64, 64]));
+        assert_ne!(base, plan_fingerprint(&kw, ExecConfig::full(), &[64, 64]).unwrap());
         // and it is deterministic
-        assert_eq!(base, plan_fingerprint(&k, ExecConfig::full(), &[64, 64]));
+        assert_eq!(base, plan_fingerprint(&k, ExecConfig::full(), &[64, 64]).unwrap());
     }
 
     #[test]

@@ -338,10 +338,19 @@ impl Plan {
     /// Every executor entry point resolves its plan through this, so
     /// installing a DB transparently retunes the bench suite, the CLI
     /// and the differential oracle alike.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the [`crate::tuning::TuningDbError`] message when
+    /// `LORASTENCIL_TUNING_DB` names a corrupt file (after the lookup
+    /// has released the DB lock, so later lookups still answer). Callers
+    /// that must survive one — `serve`, `checkpoint` — look the DB up
+    /// themselves first.
     pub fn new_tuned(kernel: &StencilKernel, config: ExecConfig, extents: &[usize]) -> Self {
         match crate::tuning::lookup(kernel, extents, config) {
-            Some(params) => Plan::new_with_params(kernel, config, params),
-            None => Plan::new(kernel, config),
+            Ok(Some(params)) => Plan::new_with_params(kernel, config, params),
+            Ok(None) => Plan::new(kernel, config),
+            Err(e) => panic!("LORASTENCIL_TUNING_DB: {e}"),
         }
     }
 

@@ -28,7 +28,7 @@ use crate::schedule::ScheduleParams;
 use foundation::json::{Json, ToJson};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use stencil_core::StencilKernel;
 
 /// Format version; any other value is a typed decode error.
@@ -146,6 +146,25 @@ impl std::fmt::Display for TuningDbError {
 }
 
 impl std::error::Error for TuningDbError {}
+
+impl Clone for TuningDbError {
+    /// `std::io::Error` is not `Clone`; the copy keeps its kind and
+    /// message, so a clone displays exactly like the original.
+    fn clone(&self) -> Self {
+        match self {
+            TuningDbError::Io(e) => TuningDbError::Io(std::io::Error::new(e.kind(), e.to_string())),
+            TuningDbError::Parse { path, detail } => {
+                TuningDbError::Parse { path: path.clone(), detail: detail.clone() }
+            }
+            TuningDbError::Version { path, found } => {
+                TuningDbError::Version { path: path.clone(), found: found.clone() }
+            }
+            TuningDbError::Field { path, detail } => {
+                TuningDbError::Field { path: path.clone(), detail: detail.clone() }
+            }
+        }
+    }
+}
 
 impl From<std::io::Error> for TuningDbError {
     fn from(e: std::io::Error) -> Self {
@@ -314,53 +333,51 @@ impl TuningDb {
     }
 }
 
-struct GlobalState {
-    db: Option<TuningDb>,
-    env_checked: bool,
-}
+/// The process-wide DB: `None` until [`install_global`] installs one or
+/// the first [`lookup`] resolves `LORASTENCIL_TUNING_DB`; then the
+/// outcome, kept so a corrupt file fails every later lookup the same
+/// way. Nothing panics while the lock is held, and a poisoned lock is
+/// recovered, so no lookup can die of another's failure.
+static GLOBAL: Mutex<Option<Result<Option<TuningDb>, TuningDbError>>> = Mutex::new(None);
 
-static GLOBAL: Mutex<GlobalState> = Mutex::new(GlobalState { db: None, env_checked: false });
+fn global() -> MutexGuard<'static, Option<Result<Option<TuningDb>, TuningDbError>>> {
+    GLOBAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Install `db` process-wide (the CLI's `--tuning-db` path). Replaces
 /// any previously installed DB and suppresses the environment fallback.
 pub fn install_global(db: TuningDb) {
-    let mut g = GLOBAL.lock().unwrap();
-    g.db = Some(db);
-    g.env_checked = true;
+    *global() = Some(Ok(Some(db)));
 }
 
 /// Remove the installed DB (tests; also re-arms the environment check).
 pub fn clear_global() {
-    let mut g = GLOBAL.lock().unwrap();
-    g.db = None;
-    g.env_checked = false;
+    *global() = None;
 }
 
 /// The tuned parameters for `(kernel, extents, config)` from the
-/// process-global DB, or `None` (→ defaults) when no DB is installed or
-/// it has no matching entry.
+/// process-global DB, or `Ok(None)` (→ defaults) when no DB is
+/// installed or it has no matching entry.
 ///
 /// On first use, if no DB was installed explicitly and
-/// `LORASTENCIL_TUNING_DB` names a file, that file is loaded; a corrupt
-/// or foreign-version file panics loudly rather than silently running
-/// untuned (the "never tune from garbage" rule).
+/// `LORASTENCIL_TUNING_DB` names a file, that file is loaded. A
+/// corrupt, truncated or foreign-version file is an error on this and
+/// every later call — the same variant and message each time — rather
+/// than a silently untuned run (the "never tune from garbage" rule).
 pub fn lookup(
     kernel: &StencilKernel,
     extents: &[usize],
     config: ExecConfig,
-) -> Option<ScheduleParams> {
-    let mut g = GLOBAL.lock().unwrap();
-    if !g.env_checked {
-        g.env_checked = true;
-        if let Some(path) = std::env::var_os("LORASTENCIL_TUNING_DB") {
-            let path = PathBuf::from(path);
-            match TuningDb::load(&path) {
-                Ok(db) => g.db = Some(db),
-                Err(e) => panic!("LORASTENCIL_TUNING_DB: {e}"),
-            }
-        }
+) -> Result<Option<ScheduleParams>, TuningDbError> {
+    let mut g = global();
+    let state = g.get_or_insert_with(|| match std::env::var_os("LORASTENCIL_TUNING_DB") {
+        Some(path) => TuningDb::load(Path::new(&path)).map(Some),
+        None => Ok(None),
+    });
+    match state {
+        Ok(db) => Ok(db.as_ref().and_then(|db| db.lookup(kernel, extents, config))),
+        Err(e) => Err(e.clone()),
     }
-    g.db.as_ref().and_then(|db| db.lookup(kernel, extents, config))
 }
 
 #[cfg(test)]

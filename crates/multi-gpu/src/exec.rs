@@ -179,7 +179,7 @@ pub fn resume_distributed(
     config: ExecConfig,
     policy: &DistCkptPolicy,
 ) -> Result<(DistributedOutcome, usize), CkptRunError> {
-    let computed = plan_fingerprint(kernel, config, &snap.extents);
+    let computed = plan_fingerprint(kernel, config, &snap.extents)?;
     if computed != snap.fingerprint {
         return Err(CkptRunError::FingerprintMismatch {
             stored: snap.fingerprint,
@@ -287,7 +287,7 @@ fn run_inner(
         }
     };
 
-    let fingerprint = plan_fingerprint(kernel, config, &[rows, cols]);
+    let fingerprint = plan_fingerprint(kernel, config, &[rows, cols])?;
     let snapshot = |devices: &[Device], step: u64, pre: &[PerfCounters]| {
         let mut counters = start_counters;
         for c in pre {

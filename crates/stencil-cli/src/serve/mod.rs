@@ -318,7 +318,9 @@ impl ServerCore {
             });
         }
         let extents = &job.extents[..job.ndims];
-        let params = lorastencil::tuning::lookup(&kernel, extents, config).unwrap_or_else(|| {
+        let lookup = lorastencil::tuning::lookup(&kernel, extents, config)
+            .map_err(|e| ProtoError { kind: "tuning", offset: 0, detail: e.to_string() })?;
+        let params = lookup.unwrap_or_else(|| {
             crate::tune::tune_on_miss(
                 &kernel,
                 config,

@@ -65,7 +65,7 @@ fn steady_state_steps_allocate_nothing_and_spawn_nothing() {
     let store = stencil_core::checkpoint::CheckpointStore::new(&store_dir, 2).unwrap();
     let kernel = kernels::box_2d9p();
     let fingerprint =
-        lorastencil::checkpoint::plan_fingerprint(&kernel, ExecConfig::full(), &[64, 64]);
+        lorastencil::checkpoint::plan_fingerprint(&kernel, ExecConfig::full(), &[64, 64]).unwrap();
     for round in 0..3u64 {
         // a checkpoint boundary: copy + encode + fsync (may allocate)
         let planes = stepper.planes();
