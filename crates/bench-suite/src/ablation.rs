@@ -13,8 +13,9 @@
 use crate::report::{format_table, geomean};
 use crate::runner::evaluate;
 use crate::workloads;
+use lorastencil::decompose::{self, candidates, choose, tile_cost};
 use lorastencil::rdg::RdgGeometry;
-use lorastencil::{autotune, decompose, fusion, ExecConfig, LoRaStencil, Plan, Workspace};
+use lorastencil::{fusion, ExecConfig, LoRaStencil, Plan, Workspace};
 use stencil_core::{kernels, Grid2D, StencilKernel};
 use tcu_sim::{CostModel, GlobalArray, PerfCounters};
 
@@ -36,7 +37,7 @@ pub fn decomposition_ablation(model: &CostModel) -> String {
         let fused = fusion::fuse_kernel(&k, fusion::fusion_factor(&k));
         let geo = RdgGeometry::for_radius(fused.radius);
         let base_plan = Plan::new(&k, ExecConfig::full());
-        for cand in autotune::candidates(fused.weights_2d(), 1e-12) {
+        for cand in candidates(fused.weights_2d(), 1e-12) {
             if cand.reconstruction_error(fused.weights_2d()) > 1e-8 {
                 continue;
             }
@@ -174,12 +175,12 @@ pub fn autotune_report() -> String {
             continue;
         }
         let d = Plan::new(&k, ExecConfig::full());
-        let a = Plan::new_autotuned(&k, ExecConfig::full());
+        let a = d.with_decomposition(choose(d.exec_kernel.weights_2d(), 1e-12));
         rows.push(vec![
             k.name.clone(),
             format!("{:?} ({})", d.decomp().strategy, d.decomp().num_terms()),
             format!("{:?} ({})", a.decomp().strategy, a.decomp().num_terms()),
-            if autotune::tile_cost(a.decomp(), a.geo) < autotune::tile_cost(d.decomp(), d.geo) {
+            if tile_cost(a.decomp(), a.geo) < tile_cost(d.decomp(), d.geo) {
                 "autotune wins".to_string()
             } else {
                 "tie".to_string()

@@ -47,7 +47,6 @@
 #![allow(clippy::needless_range_loop)]
 
 pub mod analysis;
-pub mod autotune;
 pub mod bvs;
 pub mod checkpoint;
 pub mod codegen;

@@ -354,30 +354,6 @@ impl Plan {
         }
     }
 
-    /// Plan a 2-D kernel with cost-model-driven decomposition selection
-    /// (see [`crate::autotune`]): like [`Plan::new`], but the strategy is
-    /// chosen by modeled per-tile cost rather than structural precedence
-    /// — cheaper when the weight matrix's true rank is below the
-    /// pyramid's term count.
-    pub fn new_autotuned(kernel: &StencilKernel, config: ExecConfig) -> Self {
-        let _plan = foundation::obs::span("plan");
-        assert_eq!(kernel.dims(), 2, "autotuned planning covers 2-D kernels");
-        let (exec_kernel, fusion) = fuse(kernel, config, None);
-        let decomp = {
-            let _decompose = foundation::obs::span("decompose");
-            crate::autotune::choose(exec_kernel.weights_2d(), 1e-12)
-        };
-        let geo = RdgGeometry::for_radius(exec_kernel.radius);
-        Plan {
-            exec_kernel,
-            fusion,
-            geo,
-            config,
-            params: ScheduleParams::default(),
-            kind: PlanKind::D2 { decomp },
-        }
-    }
-
     /// A 2-D plan assembled from explicit parts (ablation sweeps that
     /// pin the fusion factor or try candidate decompositions).
     pub fn custom_2d(
@@ -567,18 +543,14 @@ mod tests {
 
     #[test]
     fn autotuned_plan_never_costs_more() {
-        use crate::autotune;
+        use crate::decompose::{choose, tile_cost};
         for k in kernels::all_kernels() {
             if k.dims() != 2 {
                 continue;
             }
-            let a = Plan::new_autotuned(&k, ExecConfig::full());
             let d = Plan::new(&k, ExecConfig::full());
-            assert!(
-                autotune::tile_cost(a.decomp(), a.geo) <= autotune::tile_cost(d.decomp(), d.geo),
-                "{}",
-                k.name
-            );
+            let a = d.with_decomposition(choose(d.exec_kernel.weights_2d(), 1e-12));
+            assert!(tile_cost(a.decomp(), a.geo) <= tile_cost(d.decomp(), d.geo), "{}", k.name);
         }
     }
 

@@ -3,10 +3,10 @@
 //!
 //! Per `(kernel, extents, config)` the tuner enumerates the candidate
 //! grid (tile extents × staging × MMA-chain batch × fusion override),
-//! orders it by a cost prior seeded from [`lorastencil::autotune`]'s
-//! per-tile pricing, caps it at `--budget` candidates (the default
-//! schedule is always kept), and measures the survivors with
-//! [`foundation::bench::median_sample_ns`].
+//! orders it by a cost prior seeded from the per-tile pricing of
+//! [`lorastencil::decompose::tile_cost`], caps it at `--budget`
+//! candidates (the default schedule is always kept), and measures the
+//! survivors with [`foundation::bench::median_sample_ns`].
 //!
 //! **The bit-identity gate:** before a candidate is timed at all, its
 //! output planes and `Prediction`-class counters are compared against
@@ -92,7 +92,7 @@ pub fn candidate_space(
 
 /// The search prior: a cheap synthetic cost that orders candidates
 /// most-promising-first before the budget cut. Per-sub-tile compute is
-/// anchored on the same pricing [`lorastencil::autotune::tile_cost`]
+/// anchored on the same pricing [`lorastencil::decompose::tile_cost`]
 /// uses (MMA flops per 8×8 tile); on top of that the prior charges a
 /// fixed per-job dispatch overhead (fewer, larger jobs win on a
 /// single-core host), the staged-window traffic (macro tiles amortize
