@@ -5,7 +5,7 @@
 
 use foundation::bench::{black_box, Bench};
 use lorastencil::decompose::{eigen, pyramid, star, svd};
-use lorastencil::rdg::{rdg_apply_term, RdgGeometry, XFragments};
+use lorastencil::rdg::{rdg_apply_term_frags_into, RdgGeometry, TermFrags, XFragments};
 use lorastencil::{decompose, fusion};
 use stencil_core::kernels;
 use tcu_sim::{FragAcc, SharedTile, SimContext};
@@ -39,14 +39,16 @@ fn bench_rdg_tile(c: &mut Bench) {
     }
     let k = kernels::box_2d49p();
     let d = decompose::decompose(k.weights_2d(), 1e-12);
+    let frags_bvs = TermFrags::build_all(&d.terms, geo, true);
+    let frags_nat = TermFrags::build_all(&d.terms, geo, false);
 
     c.bench_function("rdg_full_tile_bvs", |b| {
         b.iter(|| {
             let mut ctx = SimContext::new();
             let x = XFragments::load(&mut ctx, &tile, geo);
             let mut acc = FragAcc::zero();
-            for t in &d.terms {
-                acc = rdg_apply_term(&mut ctx, &x, t, true, acc);
+            for tf in &frags_bvs {
+                rdg_apply_term_frags_into(&mut ctx, &x, tf, &mut acc, 1);
             }
             black_box(acc)
         })
@@ -56,8 +58,8 @@ fn bench_rdg_tile(c: &mut Bench) {
             let mut ctx = SimContext::new();
             let x = XFragments::load(&mut ctx, &tile, geo);
             let mut acc = FragAcc::zero();
-            for t in &d.terms {
-                acc = rdg_apply_term(&mut ctx, &x, t, false, acc);
+            for tf in &frags_nat {
+                rdg_apply_term_frags_into(&mut ctx, &x, tf, &mut acc, 1);
             }
             black_box(acc)
         })

@@ -271,47 +271,18 @@ pub fn term_is_sparse(term: &RankOneTerm, geo: RdgGeometry) -> bool {
     build_u_frags(term, geo).iter().all(|f| FragASp::compress(f).is_some())
 }
 
-/// Apply one rank-1 term to a loaded input tile, accumulating into `acc`
-/// (the 8×8 output accumulator). Returns the new accumulator.
-///
-/// This is the full RDG Matrix Chain Multiplication on tensor cores:
-/// `acc += U · X · V`. Convenience form of [`rdg_apply_term_frags`] that
-/// builds the weight fragments on the spot.
-pub fn rdg_apply_term(
-    ctx: &mut SimContext,
-    x: &XFragments,
-    term: &RankOneTerm,
-    use_bvs: bool,
-    acc: FragAcc,
-) -> FragAcc {
-    rdg_apply_term_frags(ctx, x, &TermFrags::build(term, x.geo, use_bvs), acc)
-}
-
-/// Apply one rank-1 term given prebuilt weight fragments (the hot-loop
-/// form: no allocation, weight fragments shared across all tiles).
-pub fn rdg_apply_term_frags(
-    ctx: &mut SimContext,
-    x: &XFragments,
-    tf: &TermFrags,
-    acc: FragAcc,
-) -> FragAcc {
-    let mut out = acc;
-    rdg_apply_term_frags_into(ctx, x, tf, &mut out, 1);
-    out
-}
-
 /// Largest MMA-chain batch [`rdg_apply_term_frags_into`] accepts (enough
 /// for any radius ≤ 16 kernel: `S/4 ≤ 10` step-1 fragments per column
 /// block).
 pub const MAX_MMA_BATCH: usize = 16;
 
-/// In-place, batch-parameterized [`rdg_apply_term_frags`]: accumulate one
-/// rank-1 term directly into `out`, issuing the step-1 `U · X` MMAs in
-/// register-resident chains of up to `batch` instructions
-/// ([`SimContext::mma_chain_into`]). `batch ≤ 1` issues them one at a
-/// time, exactly as [`rdg_apply_term_frags`] always has; any batch is
-/// bit-identical and charges the same counters — only the host-side
-/// accumulator traffic changes. The step-2 MMAs cannot chain across
+/// Apply one rank-1 term to a loaded input tile given its prebuilt
+/// weight fragments — the full RDG Matrix Chain Multiplication on
+/// tensor cores, `out += U · X · V`, with no allocation. The step-1
+/// `U · X` MMAs issue in register-resident chains of up to `batch`
+/// instructions ([`SimContext::mma_chain_into`]); `batch ≤ 1` issues
+/// them one at a time. Any batch is bit-identical and charges the same
+/// counters — only the host-side accumulator traffic changes. The step-2 MMAs cannot chain across
 /// column blocks (each consumes a freshly extracted A fragment).
 pub fn rdg_apply_term_frags_into(
     ctx: &mut SimContext,
@@ -608,7 +579,8 @@ mod tests {
         );
         let mut ctx = SimContext::new();
         let x = XFragments::load(&mut ctx, &tile, geo);
-        let acc = rdg_apply_term(&mut ctx, &x, &term, true, FragAcc::zero());
+        let mut acc = FragAcc::zero();
+        rdg_apply_term_frags_into(&mut ctx, &x, &TermFrags::build(&term, geo, true), &mut acc, 1);
         let want = rdg_reference(&dense, &term, geo.h);
         for p in 0..MMA_M {
             for q in 0..MMA_N {
@@ -632,7 +604,8 @@ mod tests {
         let term = RankOneTerm::new(vec![1.0, 2.0, 1.0], vec![0.5, 1.0, 0.5]);
         let mut ctx = SimContext::new();
         let x = XFragments::load(&mut ctx, &tile, geo);
-        let acc = rdg_apply_term(&mut ctx, &x, &term, true, FragAcc::zero());
+        let mut acc = FragAcc::zero();
+        rdg_apply_term_frags_into(&mut ctx, &x, &TermFrags::build(&term, geo, true), &mut acc, 1);
         let want = rdg_reference(&dense, &term, geo.h);
         for p in 0..MMA_M {
             for q in 0..MMA_N {
@@ -649,11 +622,15 @@ mod tests {
 
         let mut ctx_bvs = SimContext::new();
         let x1 = XFragments::load(&mut ctx_bvs, &tile, geo);
-        let acc_bvs = rdg_apply_term(&mut ctx_bvs, &x1, &term, true, FragAcc::zero());
+        let mut acc_bvs = FragAcc::zero();
+        let tf_bvs = TermFrags::build(&term, geo, true);
+        rdg_apply_term_frags_into(&mut ctx_bvs, &x1, &tf_bvs, &mut acc_bvs, 1);
 
         let mut ctx_nat = SimContext::new();
         let x2 = XFragments::load(&mut ctx_nat, &tile, geo);
-        let acc_nat = rdg_apply_term(&mut ctx_nat, &x2, &term, false, FragAcc::zero());
+        let mut acc_nat = FragAcc::zero();
+        let tf_nat = TermFrags::build(&term, geo, false);
+        rdg_apply_term_frags_into(&mut ctx_nat, &x2, &tf_nat, &mut acc_nat, 1);
 
         for p in 0..MMA_M {
             for q in 0..MMA_N {
@@ -679,7 +656,8 @@ mod tests {
             let mut ctx = SimContext::new();
             let x = XFragments::load(&mut ctx, &tile, geo);
             let tf = TermFrags::build(&term, geo, true);
-            let base = rdg_apply_term_frags(&mut ctx, &x, &tf, FragAcc::zero());
+            let mut base = FragAcc::zero();
+            rdg_apply_term_frags_into(&mut ctx, &x, &tf, &mut base, 1);
             let base_mmas = ctx.counters.mma_ops;
             for batch in [1usize, 2, 3, 4, 8, 16, 64] {
                 let mut ctx_b = SimContext::new();
@@ -738,8 +716,8 @@ mod tests {
         let mut ctx_tcu = SimContext::new();
         let x = XFragments::load(&mut ctx_tcu, &tile, geo);
         let mut acc = FragAcc::zero();
-        for t in &d.terms {
-            acc = rdg_apply_term(&mut ctx_tcu, &x, t, true, acc);
+        for tf in &TermFrags::build_all(&d.terms, geo, true) {
+            rdg_apply_term_frags_into(&mut ctx_tcu, &x, tf, &mut acc, 1);
         }
         apply_pointwise(&mut ctx_tcu, &x, d.pointwise, &mut acc);
 
@@ -834,7 +812,8 @@ mod tests {
             let mut ctx = SimContext::new();
             ctx.enable_trace();
             let x = XFragments::load(&mut ctx, &tile, geo);
-            rdg_apply_term(&mut ctx, &x, &term, use_bvs, FragAcc::zero());
+            let tf = TermFrags::build(&term, geo, use_bvs);
+            rdg_apply_term_frags_into(&mut ctx, &x, &tf, &mut FragAcc::zero(), 1);
             let t = ctx.take_trace().unwrap();
             (t.longest_mma_burst(), t.count(|e| matches!(e, tcu_sim::TraceEvent::AccExtract { shuffles, .. } if *shuffles > 0)))
         };
@@ -914,13 +893,10 @@ mod tests {
         assert_eq!(ctx.counters.metadata_loads, 0);
         assert_eq!(ctx.counters.mma_ops, geo.mma_per_term());
         // fallback result equals the plain dense apply
-        let want = rdg_apply_term(
-            &mut SimContext::new(),
-            &XFragments::load(&mut SimContext::new(), &tile, geo),
-            &term,
-            true,
-            FragAcc::zero(),
-        );
+        let mut want = FragAcc::zero();
+        let x_want = XFragments::load(&mut SimContext::new(), &tile, geo);
+        let tf_dense = TermFrags::build(&term, geo, true);
+        rdg_apply_term_frags_into(&mut SimContext::new(), &x_want, &tf_dense, &mut want, 1);
         for p in 0..MMA_M {
             for q in 0..MMA_N {
                 assert_eq!(acc.get(p, q).to_bits(), want.get(p, q).to_bits());

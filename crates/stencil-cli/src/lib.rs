@@ -492,7 +492,7 @@ pub fn trace_text(kernel: &StencilKernel, config: ExecConfig) -> Result<String, 
     if kernel.dims() != 2 {
         return Err("trace currently targets 2-D plans".into());
     }
-    use lorastencil::rdg::{apply_pointwise, rdg_apply_term, XFragments};
+    use lorastencil::rdg::{apply_pointwise, rdg_apply_term_frags_into, TermFrags, XFragments};
     let plan = Plan::new(kernel, config);
     let mut ctx = tcu_sim::SimContext::new();
     ctx.enable_trace();
@@ -504,8 +504,8 @@ pub fn trace_text(kernel: &StencilKernel, config: ExecConfig) -> Result<String, 
     }
     let x = XFragments::load(&mut ctx, &tile, plan.geo);
     let mut acc = tcu_sim::FragAcc::zero();
-    for term in &plan.decomp().terms {
-        acc = rdg_apply_term(&mut ctx, &x, term, plan.config.use_bvs, acc);
+    for tf in &TermFrags::build_all(&plan.decomp().terms, plan.geo, plan.config.use_bvs) {
+        rdg_apply_term_frags_into(&mut ctx, &x, tf, &mut acc, 1);
     }
     apply_pointwise(&mut ctx, &x, plan.decomp().pointwise, &mut acc);
     let trace = ctx.take_trace().expect("tracing was enabled");
