@@ -29,40 +29,39 @@ use std::fmt::Write as _;
 use tcu_sim::{CopyMode, FragASp};
 
 /// Everything that differs between two C-family WMMA targets.
-#[derive(Debug)]
 pub struct Dialect {
     /// The target this dialect renders.
-    pub target: Target,
+    target: Target,
     /// The target's capability matrix; every fallback branches on it.
-    pub caps: Caps,
+    caps: Caps,
     /// WMMA namespace (`wmma` / `rocwmma`).
-    pub ns: &'static str,
+    ns: &'static str,
     /// Lane-id call.
-    pub lane: &'static str,
+    lane: &'static str,
     /// Warp/wave barrier call.
-    pub barrier: &'static str,
+    barrier: &'static str,
     /// Shuffle call up to its value argument.
-    pub shfl: &'static str,
+    shfl: &'static str,
     /// The double-buffered slot wait line, split around the slot number.
-    pub slot_wait: (&'static str, &'static str),
+    slot_wait: (&'static str, &'static str),
     /// The SIMT group noun (warp / wave).
-    pub warp: &'static str,
+    warp: &'static str,
     /// The on-chip scratchpad noun (shared / LDS).
-    pub shared: &'static str,
+    shared: &'static str,
     /// The same, as a modifier ("no shared-memory staging").
-    pub shared_mem: &'static str,
+    shared_mem: &'static str,
     /// The scalar cores' name (CUDA / scalar).
-    pub scalar_cores: &'static str,
+    scalar_cores: &'static str,
     /// The scalar accumulator's comment.
-    pub scalar_acc: &'static str,
+    scalar_acc: &'static str,
     /// The matrix units' name (tensor / matrix).
-    pub mma_cores: &'static str,
+    mma_cores: &'static str,
     /// The architecture named by fallback comments.
-    pub arch: &'static str,
+    arch: &'static str,
     /// The vector register file named by the staged-copy fallback.
-    pub vregs: &'static str,
+    vregs: &'static str,
     /// Capability header after the banner (empty for the reference).
-    pub header: &'static str,
+    header: &'static str,
 }
 
 /// NVIDIA CUDA on the A100: everything in the capability matrix.

@@ -336,8 +336,9 @@ impl TuningDb {
 /// The process-wide DB: `None` until [`install_global`] installs one or
 /// the first [`lookup`] resolves `LORASTENCIL_TUNING_DB`; then the
 /// outcome, kept so a corrupt file fails every later lookup the same
-/// way. Nothing panics while the lock is held, and a poisoned lock is
-/// recovered, so no lookup can die of another's failure.
+/// way. Nothing panics while the lock is held; should anything still
+/// poison it, the guard is recovered, which is sound because every
+/// update is a single assignment that leaves the state whole.
 static GLOBAL: Mutex<Option<Result<Option<TuningDb>, TuningDbError>>> = Mutex::new(None);
 
 fn global() -> MutexGuard<'static, Option<Result<Option<TuningDb>, TuningDbError>>> {

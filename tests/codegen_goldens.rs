@@ -64,7 +64,7 @@ fn double_staged_table() -> String {
         for (cname, cfg) in CONFIGS {
             for backend in DeviceBackend::all().into_iter().filter(|b| b.uses_tcu()) {
                 let config = ExecConfig { backend, ..cfg() };
-                let plan = Plan::new_with_params(&kernel, config, params.clone());
+                let plan = Plan::new_with_params(&kernel, config, params);
                 assert_eq!(
                     Schedule::lower(&plan).staging,
                     Staging::Double,
