@@ -184,6 +184,15 @@ checkpoint_battery() {
 }
 
 flake_hunt() {
+    # every integration test must be green at every pool width, the
+    # default (FOUNDATION_THREADS unset: the detected core count) included
+    local lanes
+    for lanes in "" 1 2 7; do
+        env -u FOUNDATION_THREADS ${lanes:+FOUNDATION_THREADS=$lanes} \
+            cargo test -q --offline --workspace --test '*' >/dev/null \
+            || { echo "error: integration tests failed at FOUNDATION_THREADS=${lanes:-unset}" >&2; exit 1; }
+        echo "   integration tests green at FOUNDATION_THREADS=${lanes:-unset}"
+    done
     # the serve and observability suites must be green at every
     # --test-threads width and on every repeat: they share a process
     # with other servers and tracers, so leaked global state shows up
@@ -337,7 +346,7 @@ step "tune smoke (bounded autotune + invariant-counter check)" tune_smoke
 step "backend smoke (4 backends x 3 dims, verify + in-family bit-identity)" backend_smoke
 step "profile smoke (stencil-cli profile + trace validation)" profile_smoke
 step "crash-resume smoke (run, tear newest snapshot, resume)" crash_resume_smoke
-step "flake hunt (serve + observability at 1/2/8 test threads, 20 repeats)" flake_hunt
+step "flake hunt (integration tests at FOUNDATION_THREADS unset/1/2/7; serve + observability at 1/2/8 test threads, 20 repeats)" flake_hunt
 step "serve smoke (daemon over unix socket: parity, errors, shutdown)" serve_smoke
 step "serve loadgen (hit vs cold-plan >=5x gate, writes BENCH_pr8.json)" loadgen_bench
 step "emit smoke (3 targets x 4 backends x 3 dims; golden diff per target)" emit_smoke

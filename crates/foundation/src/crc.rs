@@ -16,9 +16,12 @@
 /// The reflected IEEE 802.3 polynomial.
 pub const POLY: u32 = 0xEDB8_8320;
 
-/// Byte-indexed lookup table, computed at compile time.
-const TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// Slicing-by-8 lookup tables, computed at compile time. `TABLES[0]` is
+/// the classic byte-indexed table; `TABLES[k][b]` is the CRC of byte `b`
+/// followed by `k` zero bytes, so one 8-byte chunk folds in with eight
+/// independent lookups instead of eight dependent ones.
+const TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -27,10 +30,20 @@ const TABLE: [u32; 256] = {
             crc = if crc & 1 != 0 { (crc >> 1) ^ POLY } else { crc >> 1 };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
 /// Streaming CRC-32 state, for checksumming data produced in pieces.
@@ -45,11 +58,29 @@ impl Crc32 {
         Crc32 { state: 0xFFFF_FFFF }
     }
 
-    /// Fold `bytes` into the running checksum.
+    /// Fold `bytes` into the running checksum: whole 8-byte chunks
+    /// through the sliced tables, the tail of fewer than 8 bytes one
+    /// byte at a time.
     pub fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.state = (self.state >> 8) ^ TABLE[((self.state ^ b as u32) & 0xFF) as usize];
+        let t = &TABLES;
+        let mut crc = self.state;
+        let mut chunks = bytes.chunks_exact(8);
+        for c in &mut chunks {
+            let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+            let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
+            crc = t[7][(lo & 0xFF) as usize]
+                ^ t[6][(lo >> 8 & 0xFF) as usize]
+                ^ t[5][(lo >> 16 & 0xFF) as usize]
+                ^ t[4][(lo >> 24) as usize]
+                ^ t[3][(hi & 0xFF) as usize]
+                ^ t[2][(hi >> 8 & 0xFF) as usize]
+                ^ t[1][(hi >> 16 & 0xFF) as usize]
+                ^ t[0][(hi >> 24) as usize];
         }
+        for &b in chunks.remainder() {
+            crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
+        }
+        self.state = crc;
     }
 
     /// The checksum of everything updated so far.
@@ -97,6 +128,50 @@ mod tests {
             c.update(&data[split..]);
             assert_eq!(c.finish(), want, "split at {split}");
         }
+    }
+
+    /// The one-byte-at-a-time table CRC the sliced `update` must match.
+    fn bytewise(state: u32, bytes: &[u8]) -> u32 {
+        bytes
+            .iter()
+            .fold(state, |crc, &b| (crc >> 8) ^ TABLES[0][((crc ^ b as u32) & 0xFF) as usize])
+    }
+
+    #[test]
+    fn sliced_update_matches_bytewise_at_every_length_and_offset() {
+        // every chunk/tail split of 0..=64 bytes, starting at every
+        // alignment of the backing buffer
+        let data: Vec<u8> = (0..72u32).map(|i| (i.wrapping_mul(0x9E37_79B9) >> 11) as u8).collect();
+        for start in 0..8 {
+            for len in 0..=64 {
+                let bytes = &data[start..start + len];
+                let mut c = Crc32::new();
+                c.update(bytes);
+                assert_eq!(c.state, bytewise(0xFFFF_FFFF, bytes), "start {start}, len {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn sliced_streaming_matches_bytewise_at_random_splits() {
+        let gen = prop::flat_map(prop::vec_of(prop::u64_range(0, 256), 0, 200), |v| {
+            prop::vec_of(prop::usize_range(0, v.len() + 1), 0, 6)
+        });
+        prop::check("crc32_sliced_streaming_matches_bytewise", &gen, |(data, mut cuts)| {
+            let bytes: Vec<u8> = data.iter().map(|&b| b as u8).collect();
+            cuts.sort_unstable();
+            let mut c = Crc32::new();
+            let mut at = 0;
+            for cut in cuts.iter().copied().chain([bytes.len()]) {
+                c.update(&bytes[at..cut]);
+                at = cut;
+            }
+            let want = bytewise(0xFFFF_FFFF, &bytes) ^ 0xFFFF_FFFF;
+            if c.finish() != want {
+                return Err(format!("cuts {cuts:?}: {:#010x} != {want:#010x}", c.finish()));
+            }
+            Ok(())
+        });
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //! * [`par`] — data-parallel helpers (`par_iter().map().collect()`,
 //!   `par_chunks_mut`, `for_each_index`) replacing `rayon`, running on a
 //!   lazily-initialized persistent worker pool
-//!   (`std::thread::available_parallelism()` threads unless the
-//!   `FOUNDATION_THREADS` env var overrides);
+//!   (`std::thread::available_parallelism()` threads, detected once per
+//!   process, unless the `FOUNDATION_THREADS` env var, re-read per call,
+//!   overrides);
 //! * [`json`] — a small JSON value type plus the [`json::ToJson`] trait
 //!   and a parser for reading reports back, replacing the `serde`
 //!   derives;

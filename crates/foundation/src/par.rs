@@ -23,11 +23,13 @@
 //!   so the fixed-size pool cannot deadlock on nesting.
 //!
 //! The thread count is `std::thread::available_parallelism()` unless the
-//! `FOUNDATION_THREADS` environment variable overrides it. The variable
-//! is re-read on every parallel call, so tests can pin (and vary) the
-//! lane count at runtime; because results are order-preserving and the
-//! executors merge counters in tile order, outputs are bit-identical
-//! whatever the value.
+//! `FOUNDATION_THREADS` environment variable overrides it. The detected
+//! count is resolved once per process and cached (the probe reads cgroup
+//! files and allocates, so it stays off the per-call path); the override
+//! is re-read on every parallel call, without allocating, so tests can
+//! pin (and vary) the lane count at runtime. Because results are
+//! order-preserving and the executors merge counters in tile order,
+//! outputs are bit-identical whatever the value.
 
 use std::collections::VecDeque;
 use std::marker::PhantomData;
@@ -44,15 +46,25 @@ const MAX_THREADS: usize = 512;
 
 /// Number of worker lanes a parallel call will use at most: the
 /// `FOUNDATION_THREADS` environment variable if set (re-read per call),
-/// otherwise `std::thread::available_parallelism()` (1 if unknown).
+/// otherwise `std::thread::available_parallelism()` (1 if unknown),
+/// detected on first use and cached for the life of the process.
 pub fn num_threads() -> usize {
     if let Some(n) = threads_override() {
         if n >= 1 {
             return n.min(MAX_THREADS);
         }
     }
-    thread::available_parallelism().map(NonZeroUsize::get).unwrap_or(1).min(MAX_THREADS)
+    *DETECTED.get_or_init(|| {
+        thread::available_parallelism().map(NonZeroUsize::get).unwrap_or(1).min(MAX_THREADS)
+    })
 }
+
+/// The detected core count. `available_parallelism` reads cgroup files
+/// and allocates on every call, which would tax each parallel dispatch
+/// and break the zero-allocation steady state when `FOUNDATION_THREADS`
+/// is unset. A CPU quota or affinity change after the first parallel
+/// call is therefore not picked up; `FOUNDATION_THREADS` still is.
+static DETECTED: OnceLock<usize> = OnceLock::new();
 
 /// Read `FOUNDATION_THREADS` without allocating: `std::env::var` returns
 /// an owned `String`, which would make every parallel call heap-allocate

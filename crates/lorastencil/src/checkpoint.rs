@@ -281,7 +281,8 @@ fn run_loop(
     // on the application boundaries where a snapshot is due (and on the
     // last one), so the application sequence is that of a plain run
     let remaining = (total - start_step) as usize;
-    let mut session = ExecSession::over(kernel, config, None, planes, Some(remaining));
+    let params = crate::schedule::tuned_params(kernel, config, extents)?;
+    let mut session = ExecSession::over(kernel, config, params, planes, Some(remaining));
     let due = |from: usize, to: usize| {
         (start_step + to as u64) / policy.every > (start_step + from as u64) / policy.every
     };

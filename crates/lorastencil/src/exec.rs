@@ -1,7 +1,8 @@
 //! The LoRAStencil executor: the one [`StencilExecutor`] front door for
 //! 1-D, 2-D and 3-D problems. Everything dimension-specific lives in the
 //! lowering rules of [`crate::schedule`]; this type only converts the
-//! grid to planes and back around [`schedule::run`].
+//! grid to planes and back around [`schedule::try_run`], so a corrupt
+//! tuning DB comes back as [`ExecError::Setup`].
 
 use crate::checkpoint::{grid_extents, grid_to_planes, planes_to_grid};
 use crate::plan::ExecConfig;
@@ -39,12 +40,13 @@ impl StencilExecutor for LoRaStencil {
                 "a {kernel_dims}-D kernel cannot run on a {grid_dims}-D grid"
             )));
         }
-        let (planes, counters, block) = schedule::run(
+        let (planes, counters, block) = schedule::try_run(
             &problem.kernel,
             self.config,
             grid_to_planes(&problem.input),
             problem.iterations,
-        );
+        )
+        .map_err(|e| ExecError::Setup(format!("LORASTENCIL_TUNING_DB: {e}")))?;
         let output = planes_to_grid(&planes, &grid_extents(&problem.input));
         Ok(ExecOutcome { output, counters, block })
     }

@@ -343,9 +343,11 @@ impl Plan {
     ///
     /// Panics with the [`crate::tuning::TuningDbError`] message when
     /// `LORASTENCIL_TUNING_DB` names a corrupt file (after the lookup
-    /// has released the DB lock, so later lookups still answer). Callers
-    /// that must survive one — `serve`, `checkpoint` — look the DB up
-    /// themselves first.
+    /// has released the DB lock, so later lookups still answer). The
+    /// executor front doors return that error instead:
+    /// [`crate::schedule::try_run`], [`crate::ExecSession::try_new`],
+    /// [`crate::LoRaStencil`] and `checkpoint::run`; `serve` looks the DB
+    /// up itself first.
     pub fn new_tuned(kernel: &StencilKernel, config: ExecConfig, extents: &[usize]) -> Self {
         match crate::tuning::lookup(kernel, extents, config) {
             Ok(Some(params)) => Plan::new_with_params(kernel, config, params),

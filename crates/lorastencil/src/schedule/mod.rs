@@ -37,8 +37,9 @@ mod stepper;
 
 pub use backend::{Backend, CudaCore, SimdCore, SparseTcu, TcuF64};
 pub use params::{ScheduleParams, Staging};
+pub(crate) use session::tuned_params;
 pub use session::ExecSession;
-pub use stepper::{run, run_tuned, Stepper, Workspace};
+pub use stepper::{run, run_tuned, try_run, Stepper, Workspace};
 
 use crate::decompose::{Decomposition, RankOneTerm};
 use crate::plan::{Plan, PlanKind, PlaneOp};

@@ -15,6 +15,7 @@
 use super::stepper::{plane_extents, plane_shape, Stepper, Workspace};
 use super::ScheduleParams;
 use crate::plan::{ExecConfig, Plan};
+use crate::tuning::{self, TuningDbError};
 use stencil_core::StencilKernel;
 use tcu_sim::{BlockResources, GlobalArray, PerfCounters};
 
@@ -40,12 +41,30 @@ pub struct ExecSession {
 
 impl ExecSession {
     /// Build a session, consulting the installed tuning DB exactly like
-    /// [`run`](super::run) (same `Plan::new_tuned` calls, so the lowered
-    /// schedules — and with them values and counters — match the offline
-    /// path bit for bit). `extents` is `[n]`, `[rows, cols]` or
-    /// `[nz, ny, nx]` and must match `kernel.dims()`.
+    /// [`run`](super::run), so the lowered schedules — and with them
+    /// values and counters — match the offline path bit for bit.
+    /// `extents` is `[n]`, `[rows, cols]` or `[nz, ny, nx]` and must
+    /// match `kernel.dims()`.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the [`TuningDbError`] message when
+    /// `LORASTENCIL_TUNING_DB` names a corrupt file; [`try_new`](Self::try_new)
+    /// returns the error instead.
     pub fn new(kernel: &StencilKernel, config: ExecConfig, extents: &[usize]) -> Self {
-        Self::over(kernel, config, None, zeroed_planes(kernel, extents), None)
+        Self::try_new(kernel, config, extents)
+            .unwrap_or_else(|e| panic!("LORASTENCIL_TUNING_DB: {e}"))
+    }
+
+    /// [`new`](Self::new), returning a corrupt tuning DB as a typed
+    /// error. The DB is resolved once, before anything is planned.
+    pub fn try_new(
+        kernel: &StencilKernel,
+        config: ExecConfig,
+        extents: &[usize],
+    ) -> Result<Self, TuningDbError> {
+        let params = tuned_params(kernel, config, extents)?;
+        Ok(Self::over(kernel, config, params, zeroed_planes(kernel, extents), None))
     }
 
     /// The explicit-params variant of [`new`](Self::new): build with
@@ -60,34 +79,29 @@ impl ExecSession {
         extents: &[usize],
         params: ScheduleParams,
     ) -> Self {
-        Self::over(kernel, config, Some(params), zeroed_planes(kernel, extents), None)
+        Self::over(kernel, config, [params; 2], zeroed_planes(kernel, extents), None)
     }
 
     /// A session over `planes`, taken as the current grid without a
-    /// copy. `params` pins the schedule parameters (`None` consults the
-    /// tuning DB). The remainder workspace is built only if a run of
-    /// `iterations` steps ends off a fusion boundary; `None` (a
-    /// re-runnable session) builds it eagerly whenever the plan fuses,
-    /// so no later run pays for it.
+    /// copy. `params` holds the schedule parameters of the fused plan
+    /// and of the unfused remainder. The remainder workspace is built
+    /// only if a run of `iterations` steps ends off a fusion boundary;
+    /// `None` (a re-runnable session) builds it eagerly whenever the
+    /// plan fuses, so no later run pays for it.
     pub(crate) fn over(
         kernel: &StencilKernel,
         config: ExecConfig,
-        params: Option<ScheduleParams>,
+        [params, rem_params]: [ScheduleParams; 2],
         planes: Vec<GlobalArray>,
         iterations: Option<usize>,
     ) -> Self {
         let extents = plane_extents(kernel.dims(), &planes);
-        let plan_for = |config: ExecConfig| match params {
-            Some(params) => Plan::new_with_params(kernel, config, params),
-            None => Plan::new_tuned(kernel, config, &extents),
-        };
-        let plan = plan_for(config);
+        let plan = Plan::new_with_params(kernel, config, params);
         let (fusion, params, block) = (plan.fusion, plan.params, plan.block_resources());
         let needs_rem = iterations.map_or(fusion > 1, |n| n % fusion != 0);
-        // the remainder is unfused by construction; the other knobs
-        // (tuned or pinned params) still apply
         let rem_ws = needs_rem.then(|| {
-            Workspace::new(&plan_for(ExecConfig { allow_fusion: false, ..config }), &extents)
+            let rem_plan = Plan::new_with_params(kernel, unfused(config), rem_params);
+            Workspace::new(&rem_plan, &extents)
         });
         let stepper = Stepper::new(plan, planes);
         ExecSession { stepper, rem_ws, fusion, params, block, extents }
@@ -175,6 +189,25 @@ impl ExecSession {
     pub fn points(&self) -> usize {
         self.extents.iter().product()
     }
+}
+
+/// The remainder's config: unfused by construction; the other knobs
+/// (tuned or pinned params) still apply.
+fn unfused(config: ExecConfig) -> ExecConfig {
+    ExecConfig { allow_fusion: false, ..config }
+}
+
+/// The tuning DB's schedule parameters for the fused plan and for the
+/// unfused remainder of a `(kernel, config, extents)` run, defaults
+/// where the DB has no entry — what [`Plan::new_tuned`] would pick for
+/// each, but with a corrupt DB returned as an error.
+pub(crate) fn tuned_params(
+    kernel: &StencilKernel,
+    config: ExecConfig,
+    extents: &[usize],
+) -> Result<[ScheduleParams; 2], TuningDbError> {
+    let lookup = |config| tuning::lookup(kernel, extents, config).map(Option::unwrap_or_default);
+    Ok([lookup(config)?, lookup(unfused(config))?])
 }
 
 /// Zeroed planes for a grid of `extents` under a `kernel.dims()`-D kernel.

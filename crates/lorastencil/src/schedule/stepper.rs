@@ -22,9 +22,11 @@
 
 use super::backend::{Backend, CudaCore, SimdCore, SparseTcu, TcuF64};
 use super::scratch::{with_tile_scratch, TileScratch};
+use super::session::tuned_params;
 use super::{BackendKind, ExecSession, Op, Schedule, ScheduleParams, Staging};
 use crate::plan::{ExecConfig, Plan};
 use crate::rdg::TILE_M;
+use crate::tuning::TuningDbError;
 use foundation::par::*;
 use stencil_core::tiling::{clamped_span, tiles_1d, tiles_2d, window_origin, Tile2D};
 use stencil_core::StencilKernel;
@@ -490,13 +492,32 @@ pub(crate) fn plane_shape(extents: &[usize]) -> [usize; 3] {
 /// installed tuning DB for this kernel/extents/config, falling back to
 /// default [`ScheduleParams`]) and run an [`ExecSession`] over `planes`
 /// for `iterations` steps.
+///
+/// # Panics
+///
+/// Panics with the [`TuningDbError`] message when
+/// `LORASTENCIL_TUNING_DB` names a corrupt file; [`try_run`] returns the
+/// error instead.
 pub fn run(
     kernel: &StencilKernel,
     config: ExecConfig,
     planes: Vec<GlobalArray>,
     iterations: usize,
 ) -> (Vec<GlobalArray>, PerfCounters, BlockResources) {
-    ExecSession::over(kernel, config, None, planes, Some(iterations)).run_once(iterations)
+    try_run(kernel, config, planes, iterations)
+        .unwrap_or_else(|e| panic!("LORASTENCIL_TUNING_DB: {e}"))
+}
+
+/// [`run`], returning a corrupt tuning DB as a typed error. The DB is
+/// resolved once, before anything is planned or stepped.
+pub fn try_run(
+    kernel: &StencilKernel,
+    config: ExecConfig,
+    planes: Vec<GlobalArray>,
+    iterations: usize,
+) -> Result<(Vec<GlobalArray>, PerfCounters, BlockResources), TuningDbError> {
+    let params = tuned_params(kernel, config, &plane_extents(kernel.dims(), &planes))?;
+    Ok(ExecSession::over(kernel, config, params, planes, Some(iterations)).run_once(iterations))
 }
 
 /// The explicit-params variant of [`run`]: execute with exactly the
@@ -510,5 +531,5 @@ pub fn run_tuned(
     planes: Vec<GlobalArray>,
     iterations: usize,
 ) -> (Vec<GlobalArray>, PerfCounters, BlockResources) {
-    ExecSession::over(kernel, config, Some(params), planes, Some(iterations)).run_once(iterations)
+    ExecSession::over(kernel, config, [params; 2], planes, Some(iterations)).run_once(iterations)
 }

@@ -49,6 +49,9 @@ pub enum ExecError {
     Unsupported(String),
     /// The problem is malformed (e.g. kernel/grid dimensionality clash).
     Invalid(String),
+    /// The executor's own setup failed (e.g. its installed tuning DB is
+    /// corrupt); the message names the cause.
+    Setup(String),
 }
 
 impl std::fmt::Display for ExecError {
@@ -56,6 +59,7 @@ impl std::fmt::Display for ExecError {
         match self {
             ExecError::Unsupported(s) => write!(f, "unsupported: {s}"),
             ExecError::Invalid(s) => write!(f, "invalid: {s}"),
+            ExecError::Setup(s) => write!(f, "{s}"),
         }
     }
 }

@@ -29,6 +29,10 @@ fn steady_state_steps_allocate_nothing_and_spawn_nothing() {
     // no clock read, no event, no allocation — so the assertions below
     // also prove the observability layer is free when off.
     assert!(!foundation::obs::enabled(), "span tracing must default to off");
+    // Single lanes until the default-configuration section below, so
+    // nothing grows the pool before that section warms it (whatever
+    // value the caller's environment sets).
+    std::env::set_var("FOUNDATION_THREADS", "1");
     let plan = Plan::new(&kernels::box_2d9p(), ExecConfig::full());
     let mut input = GlobalArray::new(64, 64);
     for r in 0..64 {
@@ -41,8 +45,8 @@ fn steady_state_steps_allocate_nothing_and_spawn_nothing() {
     // Allocation assertion under sequential lanes: each pool worker
     // lazily allocates its tile scratch on the first tile it ever runs,
     // and the OS scheduler decides when a worker first wins a lane, so
-    // only the single-lane loop has a deterministic allocation profile.
-    std::env::set_var("FOUNDATION_THREADS", "1");
+    // a parallel loop is deterministic only once every lane is warmed
+    // (the default-configuration section below does that).
     stepper.step();
     stepper.step(); // warm-up: counter slots, main-thread scratch
     let allocs = allocation_count();
@@ -131,6 +135,54 @@ fn steady_state_steps_allocate_nothing_and_spawn_nothing() {
     );
     assert_eq!(threads_spawned(), spawned, "warm serve cache hits must not spawn threads");
 
+    // The default configuration: `FOUNDATION_THREADS` unset, so every
+    // dispatch sizes itself from the detected core count, which `par`
+    // resolves once per process. Which pool worker wins which tile is
+    // up to the OS scheduler, so every lane's thread-local tile scratch
+    // is warmed first, on its own thread, for both workloads below. The
+    // pool has not been grown yet (every call above ran one lane), so
+    // these lanes are all of its threads.
+    std::env::remove_var("FOUNDATION_THREADS");
+    let lanes = foundation::par::num_threads();
+    let serve_conn = std::sync::Mutex::new(stencil_cli::serve::ConnState::new());
+    warm_every_lane(lanes, || {
+        let plan = Plan::new(&kernels::box_2d9p(), ExecConfig::full());
+        Stepper::new(plan, stepper.planes().to_vec()).step();
+        // serialized, so each call is a hit on the one pooled session
+        let mut conn = serve_conn.lock().unwrap();
+        let _ = core.handle_line(&mut conn, frame);
+        assert!(conn.resp.contains("\"cache\":\"hit\""), "warm-up: {}", conn.resp);
+    });
+    let allocs = allocation_count();
+    let spawned = threads_spawned();
+    for _ in 0..8 {
+        stepper.step();
+    }
+    assert_eq!(
+        allocation_count(),
+        allocs,
+        "steady-state steps must not allocate (FOUNDATION_THREADS unset, {lanes} lanes)"
+    );
+    assert_eq!(
+        threads_spawned(),
+        spawned,
+        "steady-state steps must not spawn threads (FOUNDATION_THREADS unset)"
+    );
+    for _ in 0..8 {
+        let _ = core.handle_line(&mut conn, frame);
+        assert!(conn.resp.contains("\"cache\":\"hit\""), "not a hit: {}", conn.resp);
+    }
+    assert_eq!(
+        allocation_count(),
+        allocs,
+        "warm serve cache hits must not allocate (FOUNDATION_THREADS unset, {lanes} lanes)"
+    );
+    assert_eq!(
+        threads_spawned(),
+        spawned,
+        "warm serve cache hits must not spawn threads (FOUNDATION_THREADS unset)"
+    );
+
     // Spawn assertion under parallel lanes: the pool grows eagerly on
     // the first call that wants more lanes, so after one warm-up step
     // the worker count is deterministic and must stay flat — at every
@@ -148,5 +200,19 @@ fn steady_state_steps_allocate_nothing_and_spawn_nothing() {
             "steady-state steps must not spawn threads (FOUNDATION_THREADS={lanes})"
         );
     }
+    std::env::remove_var("FOUNDATION_THREADS");
+}
+
+/// Run `warm` once on each of `lanes` distinct pool threads (the caller
+/// included). The lanes meet at a barrier before warming, so no thread
+/// can finish one lane and take another; `FOUNDATION_THREADS=1` keeps
+/// each warm-up's own parallel calls on its lane's thread.
+fn warm_every_lane(lanes: usize, warm: impl Fn() + Sync) {
+    std::env::set_var("FOUNDATION_THREADS", "1");
+    let meet = std::sync::Barrier::new(lanes);
+    foundation::par::run_lanes(lanes, |_| {
+        meet.wait();
+        warm();
+    });
     std::env::remove_var("FOUNDATION_THREADS");
 }

@@ -5,11 +5,13 @@
 //! truncated DB before any lookup in the process. Every lookup after
 //! that must return the same typed error; `serve` must answer it as an
 //! error frame and keep serving; a checkpointed run must return it as a
-//! `CkptRunError`.
+//! `CkptRunError`; and the plain entry points (`schedule::try_run`,
+//! `ExecSession::try_new`, the `LoRaStencil` executor behind the CLI's
+//! `run`) must return it too.
 
 use foundation::json::Json;
-use lorastencil::checkpoint::{self as ckpt, CkptPolicy, CkptRunError};
-use lorastencil::{tuning, ExecConfig, Plan, TuningDbError};
+use lorastencil::checkpoint::{self as ckpt, grid_to_planes, CkptPolicy, CkptRunError};
+use lorastencil::{schedule, tuning, ExecConfig, ExecSession, Plan, TuningDbError};
 use stencil_cli::serve::{Action, ConnState, ServeConfig, ServerCore};
 use stencil_core::checkpoint::CheckpointStore;
 use stencil_core::{kernels, Grid2D, GridData};
@@ -74,4 +76,23 @@ fn checkpointed_run_returns_the_typed_variant() {
     let err = ckpt::run(&kernels::box_2d9p(), ExecConfig::full(), &input, 4, &policy).unwrap_err();
     assert!(matches!(err, CkptRunError::TuningDb(TuningDbError::Parse { .. })), "{err:?}");
     assert!(store.list().unwrap().is_empty(), "no snapshot is written under an unresolved plan");
+}
+
+#[test]
+fn plain_runs_return_the_typed_error() {
+    setup();
+    let k = kernels::heat_2d();
+    let input = GridData::D2(Grid2D::from_fn(32, 32, |r, c| (r + c) as f64));
+    let run = schedule::try_run(&k, ExecConfig::full(), grid_to_planes(&input), 2);
+    assert!(matches!(run, Err(TuningDbError::Parse { .. })), "schedule::try_run");
+    let session = ExecSession::try_new(&k, ExecConfig::full(), &[32, 32]);
+    assert!(matches!(session, Err(TuningDbError::Parse { .. })), "ExecSession::try_new");
+
+    // the CLI's `run` subcommand: the LoRAStencil executor answers with
+    // the typed message, which the binary prints before exiting 2
+    let method = stencil_cli::find_method("LoRAStencil", ExecConfig::full()).unwrap();
+    let err = stencil_cli::run_report(&k, method.as_ref(), &[32, 32], 2, 42, false, "", "", "")
+        .unwrap_err();
+    assert!(err.starts_with("LORASTENCIL_TUNING_DB: tuning DB "), "{err}");
+    assert!(err.contains("is corrupt"), "{err}");
 }
